@@ -71,9 +71,8 @@ from .oracles import (
 from .registry import forward, variant_ids
 from .synth import random_inputs, random_matrix
 from .tensor_attention import (
-    AttentionIntermediates,
+    FactoredOperator,
     TensorOpConfig,
-    attention_intermediates,
     build_tensor_operator,
     diag_fast,
     normalized_tensor_operator,

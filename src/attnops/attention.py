@@ -33,18 +33,14 @@ class AttnInputs:
     v: np.ndarray
 
     def __post_init__(self):
-        q = as_matrix(self.q, "q")
-        k = as_matrix(self.k, "k")
+        q, k = conform_pair(self.q, self.k)
         v = as_matrix(self.v, "v")
-        if q.shape != k.shape:
-            raise DimensionMismatch(f"q {q.shape} and k {k.shape} must share both dimensions")
         if v.shape[0] != q.shape[0]:
             raise DimensionMismatch(f"v has {v.shape[0]} rows, expected {q.shape[0]}")
         if q.shape[0] < 1 or q.shape[1] < 1 or v.shape[1] < 1:
             raise DimensionMismatch("need at least one token, one feature, one value column")
-        common = np.result_type(q.dtype, k.dtype)
-        object.__setattr__(self, "q", q.astype(common, copy=False))
-        object.__setattr__(self, "k", k.astype(common, copy=False))
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "k", k)
         object.__setattr__(self, "v", v)
 
     @property
@@ -64,8 +60,19 @@ class AttnInputs:
         return np.iscomplexobj(self.q) or np.iscomplexobj(self.v)
 
 
-def _require_real(inputs: AttnInputs, what: str) -> None:
-    if inputs.is_complex:
+def conform_pair(q, k) -> tuple[np.ndarray, np.ndarray]:
+    """Validate q and k as matrices of one shape, promoted to a common scalar kind."""
+    q = as_matrix(q, "q")
+    k = as_matrix(k, "k")
+    if q.shape != k.shape:
+        raise DimensionMismatch(f"q {q.shape} and k {k.shape} must share both dimensions")
+    common = np.result_type(q.dtype, k.dtype)
+    return q.astype(common, copy=False), k.astype(common, copy=False)
+
+
+def require_real(is_complex: bool, what: str) -> None:
+    """Raise ComplexNotSupported for an operation defined on real scalars only."""
+    if is_complex:
         raise ComplexNotSupported(f"{what} is defined for real inputs only")
 
 
@@ -78,7 +85,7 @@ def row_softmax(logits: np.ndarray) -> np.ndarray:
 
 def softmax_attention(inputs: AttnInputs) -> np.ndarray:
     """Scaled dot-product attention: softmax(q k^T / sqrt(d)) v."""
-    _require_real(inputs, "softmax attention")
+    require_real(inputs.is_complex, "softmax attention")
     logits = inputs.q @ inputs.k.T / math.sqrt(inputs.d)
     return row_softmax(logits) @ inputs.v
 
@@ -91,8 +98,7 @@ def kernel_feature_map(x, epsilon: float = DEFAULT_KERNEL_EPSILON) -> np.ndarray
     constant feature.
     """
     x = as_vector(x, "x")
-    if np.iscomplexobj(x):
-        raise ComplexNotSupported("kernel feature map is defined for real vectors only")
+    require_real(np.iscomplexobj(x), "kernel feature map")
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     norm = float(np.linalg.norm(x))
@@ -113,7 +119,7 @@ def linear_kernel_attention(
     touching no n-by-n intermediate.  Denominators below ``epsilon`` are
     reported as degenerate rather than divided through.
     """
-    _require_real(inputs, "kernel attention")
+    require_real(inputs.is_complex, "kernel attention")
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     fq = _feature_rows(inputs.q, epsilon)

@@ -37,8 +37,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="time kernels over a token-count sweep")
     bench.add_argument("--config", required=True, help="flat key=value config file")
-    bench.add_argument("--threads", type=int, default=1,
-                       help="accepted for config compatibility; cells always run serially")
     bench.add_argument("--format", choices=("csv", "jsonl"), default=None)
     bench.add_argument("--out", default=None, help="output path for the record stream")
 
@@ -64,9 +62,6 @@ def _cmd_bench(args) -> int:
         overrides["format"] = args.format
     if args.out is not None:
         overrides["output_path"] = args.out
-    if args.threads < 1:
-        print("threads: must be >= 1", file=sys.stderr)
-        return 2
     try:
         with open(args.config, encoding="utf-8") as fh:
             config = parse_config_text(fh.read(), overrides)

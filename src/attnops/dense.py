@@ -52,7 +52,8 @@ def as_square(a, name: str = "operand") -> np.ndarray:
     return arr
 
 
-def _finite_result(out: np.ndarray, op: str) -> np.ndarray:
+def finite_result(out: np.ndarray, op: str) -> np.ndarray:
+    """Return ``out``, or raise NonFiniteInput naming ``op`` if it holds NaN or Inf."""
     if out.size and not np.all(np.isfinite(out)):
         raise NonFiniteInput(f"{op} overflowed to non-finite values")
     return out
@@ -72,7 +73,7 @@ def gemm(a, b, trans_a: bool = False, trans_b: bool = False) -> np.ndarray:
         raise DimensionMismatch(
             f"inner dimensions disagree: {left.shape} x {right.shape}{flagged}"
         )
-    return _finite_result(left @ right, "gemm")
+    return finite_result(left @ right, "gemm")
 
 
 def hadamard(a, b) -> np.ndarray:
@@ -81,7 +82,7 @@ def hadamard(a, b) -> np.ndarray:
     b = as_matrix(b, "b")
     if a.shape != b.shape:
         raise DimensionMismatch(f"shapes differ: {a.shape} vs {b.shape}")
-    return _finite_result(a * b, "hadamard")
+    return finite_result(a * b, "hadamard")
 
 
 def trace(a):
@@ -94,7 +95,7 @@ def kron(a, b) -> np.ndarray:
     """Kronecker product: the (i, j) block of the result is a[i, j] * b."""
     a = as_matrix(a, "a")
     b = as_matrix(b, "b")
-    return _finite_result(np.kron(a, b), "kron")
+    return finite_result(np.kron(a, b), "kron")
 
 
 def vectorize(a) -> np.ndarray:

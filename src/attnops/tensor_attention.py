@@ -8,22 +8,23 @@ the same trace, which equals both the squared Frobenius norm of A and
 sum((K^H K) o (Q^H Q)^T).  The last identity is what the linear-time path
 exploits: it rebrackets T V as Q ((K^H K)(Q^H V)) so that no n-by-n matrix is
 ever materialized.
+
+``FactoredOperator`` holds a product-flavor operator in that factored form,
+T = W G W^H, and gives its action, trace and diagonal in O(n d^2); the
+materializing variants build T itself.  Every trace, diagonal and row-sum
+normalizer goes through ``checked_normalizer``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import AttnInputs
-from .dense import as_matrix
-from .errors import (
-    ComplexNotSupported,
-    DegenerateNormalizer,
-    DimensionMismatch,
-    NonFiniteInput,
-)
+from .attention import AttnInputs, conform_pair, require_real
+from .dense import finite_result
+from .errors import DegenerateNormalizer, NonFiniteInput
 from .expm import ExpmSpec, matrix_exponential
 
 Q_SIDE = "q"
@@ -64,18 +65,83 @@ class TensorOpConfig:
         return self.trace_epsilon if self.trace_epsilon is not None else 1e-12 * n
 
 
-def _conformable(q, k) -> tuple[np.ndarray, np.ndarray]:
-    q = as_matrix(q, "q")
-    k = as_matrix(k, "k")
-    if q.shape != k.shape:
-        raise DimensionMismatch(f"q {q.shape} and k {k.shape} must share both dimensions")
-    common = np.result_type(q.dtype, k.dtype)
-    return q.astype(common, copy=False), k.astype(common, copy=False)
+def checked_normalizer(values, eps: float, name: str = "operator trace"):
+    """Return ``values`` once every entry is finite and at least ``eps``.
+
+    ``values`` is a scalar trace or a vector of per-row normalizers named
+    ``name`` (diagonal entries, row sums).  An overflowed entry raises
+    NonFiniteInput; an entry below the threshold raises DegenerateNormalizer
+    naming it, rather than being divided through by an epsilon.
+    """
+    label, value = name, values
+    if isinstance(values, np.ndarray):
+        finite = np.isfinite(values)
+        worst = int(np.argmin(values)) if finite.all() else int(np.argmin(finite))
+        label, value = f"{name} {worst} =", values[worst]
+    if not math.isfinite(value):
+        raise NonFiniteInput(f"{label} {value} is not finite: the inputs overflowed")
+    if value < eps:
+        raise DegenerateNormalizer(f"{label} {value:.3e} is below {eps:.3e}")
+    return values
+
+
+# Row-block size for the fast diagonal: keeps the per-block Gram product in
+# cache so the kernel stays memory-resident as n grows.
+_DIAG_BLOCK_ROWS = 1024
+
+
+@dataclass(frozen=True)
+class FactoredOperator:
+    """A product-flavor token operator held as T = W G W^H, never materialized.
+
+    Query side: W = Q and G = K^H K, so T = A A^H with A = Q K^H; the key
+    side swaps the roles of Q and K, giving A^H A.  The rank is at most d,
+    and the action, trace and diagonal each cost O(n d^2).
+    """
+
+    w: np.ndarray
+    gram: np.ndarray
+
+    @classmethod
+    def of(cls, q: np.ndarray, k: np.ndarray, side: str = Q_SIDE) -> FactoredOperator:
+        """Factor the operator of q and k as ``conform_pair`` returns them."""
+        if side not in _SIDES:
+            raise ValueError(f"side must be one of {_SIDES}, got {side!r}")
+        w, other = (q, k) if side == Q_SIDE else (k, q)
+        return cls(w, other.conj().T @ other)
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """T v, evaluated as W (G (W^H v)) so that every intermediate is d wide."""
+        return self.w @ (self.gram @ (self.w.conj().T @ v))
+
+    def trace(self) -> float:
+        """tr(T) = sum(G o (W^H W)^T), the same on both sides."""
+        return float(np.real(np.sum(self.gram * (self.w.conj().T @ self.w).T)))
+
+    def diag(self) -> np.ndarray:
+        """The diagonal, a block of rows at a time and clamped at zero; see ``diag_fast``."""
+        n = self.w.shape[0]
+        out = np.empty(n)
+        for start in range(0, n, _DIAG_BLOCK_ROWS):
+            piece = self.w[start : start + _DIAG_BLOCK_ROWS]
+            out[start : start + _DIAG_BLOCK_ROWS] = np.einsum(
+                "ij,ij->i", piece @ self.gram, piece.conj()
+            ).real
+        return np.maximum(out, 0.0)
+
+
+def flavored_product(m: np.ndarray, side: str, hadamard: bool) -> np.ndarray:
+    """M o conj(M)^T (elementwise flavor), M M^H (query side) or M^H M (key side)."""
+    if hadamard:
+        return m * m.conj().T
+    if side == Q_SIDE:
+        return m @ m.conj().T
+    return m.conj().T @ m
 
 
 def score_matrix(q, k) -> np.ndarray:
     """A = Q K^H (plain transpose for real inputs)."""
-    q, k = _conformable(q, k)
+    q, k = conform_pair(q, k)
     return q @ k.conj().T
 
 
@@ -85,12 +151,7 @@ def build_tensor_operator(q, k, cfg: TensorOpConfig = TensorOpConfig()) -> np.nd
     The elementwise flavor computes entries A[i, j] * conj(A[j, i]); the two
     sides of it coincide, so ``cfg.side`` only matters for the product flavors.
     """
-    a = score_matrix(q, k)
-    if cfg.hadamard:
-        return a * a.conj().T
-    if cfg.side == Q_SIDE:
-        return a @ a.conj().T
-    return a.conj().T @ a
+    return flavored_product(score_matrix(q, k), cfg.side, cfg.hadamard)
 
 
 def operator_trace(q, k) -> float:
@@ -99,15 +160,7 @@ def operator_trace(q, k) -> float:
     Costs O(n d^2) and is the same for both sides: tr(A A^H) = tr(A^H A)
     = sum((K^H K) o (Q^H Q)^T), real and non-negative.
     """
-    q, k = _conformable(q, k)
-    key_gram = k.conj().T @ k
-    query_gram = q.conj().T @ q
-    return float(np.real(np.sum(key_gram * query_gram.T)))
-
-
-# Row-block size for the fast diagonal: keeps the per-block Gram product in
-# cache so the kernel stays memory-resident as n grows.
-_DIAG_BLOCK_ROWS = 1024
+    return FactoredOperator.of(*conform_pair(q, k)).trace()
 
 
 def diag_fast(q, k, side: str = Q_SIDE) -> np.ndarray:
@@ -118,19 +171,7 @@ def diag_fast(q, k, side: str = Q_SIDE) -> np.ndarray:
     time; key side swaps the roles.  Entries are clamped at zero, since in
     exact arithmetic each one is a sum of squared magnitudes.
     """
-    if side not in _SIDES:
-        raise ValueError(f"side must be one of {_SIDES}, got {side!r}")
-    q, k = _conformable(q, k)
-    base, other = (q, k) if side == Q_SIDE else (k, q)
-    gram = other.conj().T @ other
-    n = base.shape[0]
-    out = np.empty(n)
-    for start in range(0, n, _DIAG_BLOCK_ROWS):
-        piece = base[start : start + _DIAG_BLOCK_ROWS]
-        out[start : start + _DIAG_BLOCK_ROWS] = np.einsum(
-            "ij,ij->i", piece @ gram, piece.conj()
-        ).real
-    return np.maximum(out, 0.0)
+    return FactoredOperator.of(*conform_pair(q, k), side).diag()
 
 
 def normalized_tensor_operator(q, k, cfg: TensorOpConfig = TensorOpConfig()) -> np.ndarray:
@@ -141,28 +182,13 @@ def normalized_tensor_operator(q, k, cfg: TensorOpConfig = TensorOpConfig()) -> 
     row-stochastic.  Row mode orders row sums and is real-only.
     """
     t = build_tensor_operator(q, k, cfg)
-    n = t.shape[0]
-    eps = cfg.epsilon(n)
+    eps = cfg.epsilon(t.shape[0])
     if cfg.normalization == TRACE:
-        total = float(np.real(np.trace(t)))
-        if total < eps:
-            raise DegenerateNormalizer(f"operator trace {total:.3e} is below {eps:.3e}")
-        return t / total
+        return t / checked_normalizer(float(np.real(np.trace(t))), eps)
     if cfg.normalization == DIAG:
-        diagonal = np.real(np.diag(t))
-        worst = int(np.argmin(diagonal))
-        if diagonal[worst] < eps:
-            raise DegenerateNormalizer(
-                f"diagonal entry {worst} = {diagonal[worst]:.3e} is below {eps:.3e}"
-            )
-        return t / diagonal[:, None]
-    if np.iscomplexobj(t):
-        raise ComplexNotSupported("row normalization orders row sums; real inputs only")
-    sums = t.sum(axis=1)
-    worst = int(np.argmin(sums))
-    if sums[worst] < eps:
-        raise DegenerateNormalizer(f"row sum {worst} = {sums[worst]:.3e} is below {eps:.3e}")
-    return t / sums[:, None]
+        return t / checked_normalizer(np.real(np.diag(t)), eps, "diagonal entry")[:, None]
+    require_real(np.iscomplexobj(t), "row normalization")
+    return t / checked_normalizer(t.sum(axis=1), eps, "row sum")[:, None]
 
 
 def tensor_attention_naive(inputs: AttnInputs, cfg: TensorOpConfig = TensorOpConfig()) -> np.ndarray:
@@ -182,18 +208,10 @@ def tensor_attention_linear(
     of the Hadamard-sum trace.  Equal to the materialized trace-normalized
     path up to roundoff.
     """
-    if side not in _SIDES:
-        raise ValueError(f"side must be one of {_SIDES}, got {side!r}")
-    q, k = inputs.q, inputs.k
-    if side == K_SIDE:
-        q, k = k, q
-    gram = k.conj().T @ k
-    projected = q.conj().T @ inputs.v
-    total = float(np.real(np.sum(gram * (q.conj().T @ q).T)))
+    op = FactoredOperator.of(inputs.q, inputs.k, side)
     eps = trace_epsilon if trace_epsilon is not None else 1e-12 * inputs.n
-    if total < eps:
-        raise DegenerateNormalizer(f"operator trace {total:.3e} is below {eps:.3e}")
-    return (q @ (gram @ projected)) / total
+    total = checked_normalizer(op.trace(), eps)
+    return op.apply(inputs.v) / total
 
 
 def tensor_attention_relu(inputs: AttnInputs, cfg: TensorOpConfig = TensorOpConfig()) -> np.ndarray:
@@ -202,12 +220,8 @@ def tensor_attention_relu(inputs: AttnInputs, cfg: TensorOpConfig = TensorOpConf
     The normalizer is the trace of the unclamped operator; clamping cannot
     change it because the diagonal is non-negative.  Real inputs only.
     """
-    _require_real_inputs(inputs, "relu tensor attention")
-    t = build_tensor_operator(inputs.q, inputs.k, cfg)
-    total = float(np.trace(t))
-    eps = cfg.epsilon(t.shape[0])
-    if total < eps:
-        raise DegenerateNormalizer(f"operator trace {total:.3e} is below {eps:.3e}")
+    require_real(inputs.is_complex, "relu tensor attention")
+    t, total = _operator_and_trace(inputs, cfg)
     return (np.maximum(t, 0.0) @ inputs.v) / total
 
 
@@ -215,12 +229,9 @@ def tensor_attention_elem_exp(
     inputs: AttnInputs, cfg: TensorOpConfig = TensorOpConfig()
 ) -> np.ndarray:
     """Exponentiate the trace-normalized operator entry by entry, then apply."""
-    _require_real_inputs(inputs, "elementwise-exp tensor attention")
-    t_hat = _trace_normalized(inputs, cfg)
-    out = np.exp(t_hat) @ inputs.v
-    if not np.all(np.isfinite(out)):
-        raise NonFiniteInput("elementwise exponential overflowed")
-    return out
+    require_real(inputs.is_complex, "elementwise-exp tensor attention")
+    t, total = _operator_and_trace(inputs, cfg)
+    return finite_result(np.exp(t / total) @ inputs.v, "elementwise exponential")
 
 
 def tensor_attention_expm(
@@ -229,7 +240,8 @@ def tensor_attention_expm(
     spec: ExpmSpec = ExpmSpec(),
 ) -> np.ndarray:
     """Apply the matrix exponential of the trace-normalized operator to v."""
-    return matrix_exponential(_trace_normalized(inputs, cfg), spec) @ inputs.v
+    t, total = _operator_and_trace(inputs, cfg)
+    return matrix_exponential(t / total, spec) @ inputs.v
 
 
 def tensor_attention_masked(
@@ -240,11 +252,7 @@ def tensor_attention_masked(
     Token i attends to tokens j <= i.  The trace normalizer is unchanged by
     the mask since the diagonal survives it.
     """
-    t = build_tensor_operator(inputs.q, inputs.k, cfg)
-    total = float(np.real(np.trace(t)))
-    eps = cfg.epsilon(t.shape[0])
-    if total < eps:
-        raise DegenerateNormalizer(f"operator trace {total:.3e} is below {eps:.3e}")
+    t, total = _operator_and_trace(inputs, cfg)
     return (np.tril(t) @ inputs.v) / total
 
 
@@ -255,62 +263,22 @@ def tensor_attention_residual(
 ) -> np.ndarray:
     """(T + lam * tr(T) * I) v, evaluated in the factorized linear-time form.
 
-    Unnormalized by design.  Only the product flavors admit the O(n)
-    factorization, so the elementwise flavor is rejected.
+    Unnormalized by design, so large inputs can overflow; that raises
+    NonFiniteInput.  Only the product flavors admit the O(n) factorization,
+    so the elementwise flavor is rejected.
     """
-    if lam < 0:
-        raise ValueError("lam must be non-negative")
+    if not 0 <= lam < np.inf:
+        raise ValueError("lam must be finite and non-negative")
     if cfg.hadamard:
         raise ValueError("the elementwise flavor has no linear-time factorization")
-    q, k = inputs.q, inputs.k
-    if cfg.side == K_SIDE:
-        q, k = k, q
-    gram = k.conj().T @ k
-    out = q @ (gram @ (q.conj().T @ inputs.v))
+    op = FactoredOperator.of(inputs.q, inputs.k, cfg.side)
+    out = op.apply(inputs.v)
     if lam:
-        total = float(np.real(np.sum(gram * (q.conj().T @ q).T)))
-        out = out + lam * total * inputs.v
-    return out
+        out = out + lam * op.trace() * inputs.v
+    return finite_result(out, "residual tensor attention")
 
 
-@dataclass(frozen=True)
-class AttentionIntermediates:
-    """Reusable products of one attention evaluation.
-
-    scores is Q K^H; key_gram and query_gram are the Hermitian d-by-d Gram
-    matrices K^H K and Q^H Q; normalized_operator is T / tr(T).
-    """
-
-    scores: np.ndarray
-    key_gram: np.ndarray
-    query_gram: np.ndarray
-    normalized_operator: np.ndarray
-
-
-def attention_intermediates(
-    q, k, cfg: TensorOpConfig = TensorOpConfig()
-) -> AttentionIntermediates:
-    q, k = _conformable(q, k)
-    trace_cfg = TensorOpConfig(
-        side=cfg.side, hadamard=cfg.hadamard, normalization=TRACE, trace_epsilon=cfg.trace_epsilon
-    )
-    return AttentionIntermediates(
-        scores=score_matrix(q, k),
-        key_gram=k.conj().T @ k,
-        query_gram=q.conj().T @ q,
-        normalized_operator=normalized_tensor_operator(q, k, trace_cfg),
-    )
-
-
-def _require_real_inputs(inputs: AttnInputs, what: str) -> None:
-    if inputs.is_complex:
-        raise ComplexNotSupported(f"{what} is defined for real inputs only")
-
-
-def _trace_normalized(inputs: AttnInputs, cfg: TensorOpConfig) -> np.ndarray:
+def _operator_and_trace(inputs: AttnInputs, cfg: TensorOpConfig) -> tuple[np.ndarray, float]:
+    """The materialized operator and its guarded trace normalizer."""
     t = build_tensor_operator(inputs.q, inputs.k, cfg)
-    total = float(np.real(np.trace(t)))
-    eps = cfg.epsilon(t.shape[0])
-    if total < eps:
-        raise DegenerateNormalizer(f"operator trace {total:.3e} is below {eps:.3e}")
-    return t / total
+    return t, checked_normalizer(float(np.real(np.trace(t))), cfg.epsilon(t.shape[0]))

@@ -12,12 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import AttnInputs
-from .dense import as_matrix
-from .errors import DegenerateNormalizer, DimensionMismatch, DvMismatch
+from .attention import AttnInputs, conform_pair
+from .errors import DvMismatch
+from .tensor_attention import K_SIDE, Q_SIDE, checked_normalizer, flavored_product
 
-Q_SIDE = "q"
-K_SIDE = "k"
 AS_WRITTEN_DXN = "dxn"
 TRANSPOSED_NXD = "nxd"
 
@@ -52,18 +50,9 @@ class InteractionConfig:
         return self.trace_epsilon if self.trace_epsilon is not None else 1e-12 * d
 
 
-def _conformable(q, k) -> tuple[np.ndarray, np.ndarray]:
-    q = as_matrix(q, "q")
-    k = as_matrix(k, "k")
-    if q.shape != k.shape:
-        raise DimensionMismatch(f"q {q.shape} and k {k.shape} must share both dimensions")
-    common = np.result_type(q.dtype, k.dtype)
-    return q.astype(common, copy=False), k.astype(common, copy=False)
-
-
 def coupling_matrix(q, k) -> np.ndarray:
     """B = Q^H K, the d-by-d channel coupling."""
-    q, k = _conformable(q, k)
+    q, k = conform_pair(q, k)
     return q.conj().T @ k
 
 
@@ -75,12 +64,7 @@ def build_interaction_operator(
     Hermitian with a real non-negative diagonal in every flavor; the product
     flavors are PSD with trace equal to the squared Frobenius norm of B.
     """
-    b = coupling_matrix(q, k)
-    if cfg.hadamard:
-        return b * b.conj().T
-    if cfg.side == Q_SIDE:
-        return b @ b.conj().T
-    return b.conj().T @ b
+    return flavored_product(coupling_matrix(q, k), cfg.side, cfg.hadamard)
 
 
 def interaction_trace(q, k) -> float:
@@ -102,10 +86,7 @@ def tensor_interaction(
             f"value width {inputs.d_v} must equal model width {inputs.d} for this mechanism"
         )
     t = build_interaction_operator(inputs.q, inputs.k, cfg)
-    total = float(np.real(np.trace(t)))
-    eps = cfg.epsilon(t.shape[0])
-    if total < eps:
-        raise DegenerateNormalizer(f"operator trace {total:.3e} is below {eps:.3e}")
+    total = checked_normalizer(float(np.real(np.trace(t))), cfg.epsilon(t.shape[0]))
     as_written = (t @ inputs.v.T) / total
     if cfg.orientation == AS_WRITTEN_DXN:
         return as_written

@@ -3,13 +3,16 @@ import pytest
 
 from attnops import (
     AttnInputs,
+    AttnOpsError,
     ComplexNotSupported,
     DegenerateNormalizer,
     ExpmSpec,
+    FactoredOperator,
+    NonFiniteInput,
     TensorOpConfig,
-    attention_intermediates,
     build_tensor_operator,
     diag_fast,
+    forward,
     naive_reference,
     normalized_tensor_operator,
     operator_trace,
@@ -23,6 +26,7 @@ from attnops import (
     tensor_attention_naive,
     tensor_attention_relu,
     tensor_attention_residual,
+    variant_ids,
 )
 
 Q = np.array([[1.0, 0.0], [1.0, 1.0]])
@@ -99,6 +103,24 @@ class TestDiagFast:
         for _ in range(20):
             out = diag_fast(rng.standard_normal((6, 3)), rng.standard_normal((6, 3)))
             assert np.all(out >= 0.0)
+
+
+class TestFactoredOperator:
+    @pytest.mark.parametrize("side", ["q", "k"])
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("n,d,d_v", [(1, 3, 2), (12, 5, 5), (9, 4, 2)])
+    def test_matches_materialized(self, side, complex_, n, d, d_v):
+        inputs = random_inputs(n, d, d_v=d_v, seed=n + d, complex_=complex_)
+        t = build_tensor_operator(inputs.q, inputs.k, TensorOpConfig(side=side))
+        op = FactoredOperator.of(inputs.q, inputs.k, side)
+        np.testing.assert_allclose(op.apply(inputs.v), t @ inputs.v, atol=1e-10)
+        np.testing.assert_allclose(op.trace(), np.trace(t).real, rtol=1e-12)
+        np.testing.assert_allclose(op.diag(), np.diag(t).real, atol=1e-10)
+        np.testing.assert_array_equal(op.diag(), diag_fast(inputs.q, inputs.k, side))
+
+    def test_rejects_unknown_side(self):
+        with pytest.raises(ValueError):
+            FactoredOperator.of(Q, K, "both")
 
 
 class TestNaivePath:
@@ -329,8 +351,9 @@ class TestResidualPath:
             tensor_attention_residual(RUNNING, TensorOpConfig(hadamard=True), lam=0.5)
 
     def test_rejects_negative_lambda(self):
-        with pytest.raises(ValueError):
-            tensor_attention_residual(RUNNING, lam=-0.1)
+        for lam in (-0.1, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                tensor_attention_residual(RUNNING, lam=lam)
 
 
 class TestOperatorInvariants:
@@ -394,19 +417,26 @@ class TestOperatorInvariants:
         assert np.max(np.abs(g_naive - g_linear)) < 1e-4
 
 
-class TestIntermediates:
-    def test_fields(self):
-        inter = attention_intermediates(Q, K)
-        np.testing.assert_array_equal(inter.scores, [[1.0, 0.0], [2.0, 1.0]])
-        np.testing.assert_array_equal(inter.key_gram, K.T @ K)
-        np.testing.assert_array_equal(inter.query_gram, Q.T @ Q)
-        np.testing.assert_allclose(
-            inter.normalized_operator, np.array([[1.0, 2.0], [2.0, 5.0]]) / 6.0, atol=1e-15
-        )
+class TestOverflow:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("rows", [slice(0, 1), slice(None)])
+    @pytest.mark.parametrize("variant", variant_ids())
+    def test_finite_output_or_typed_error(self, variant, rows):
+        # Finite inputs whose operator overflows float64: the result is either
+        # finite or an AttnOpsError, never a silent NaN or Inf.
+        inputs = random_inputs(64, 8, seed=0)
+        q, k = inputs.q.copy(), inputs.k
+        if variant == "tensor_row":
+            q, k = np.abs(q), np.abs(k)
+        q[rows] *= 1e160
+        try:
+            out = forward(variant, AttnInputs(q, k, inputs.v))
+        except AttnOpsError:
+            return
+        assert np.all(np.isfinite(out))
 
-    def test_grams_are_hermitian(self):
-        q = random_matrix(5, 3, seed=23, complex_=True)
-        k = random_matrix(5, 3, seed=24, complex_=True)
-        inter = attention_intermediates(q, k)
-        np.testing.assert_allclose(inter.key_gram, inter.key_gram.conj().T, atol=1e-13)
-        np.testing.assert_allclose(inter.query_gram, inter.query_gram.conj().T, atol=1e-13)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowed_normalizer_names_entry(self):
+        q = np.array([[1e160, 0.0], [1.0, 1.0]])
+        with pytest.raises(NonFiniteInput, match="diagonal entry 0"):
+            tensor_attention_naive(AttnInputs(q, q, V), TensorOpConfig(normalization="diag"))
