@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dense import as_matrix, as_vector
+from .dense import as_matrix, as_vector, finite_result
 from .errors import ComplexNotSupported, DegenerateDenominator, DimensionMismatch
 
 DEFAULT_KERNEL_EPSILON = 1e-12
@@ -87,7 +87,7 @@ def softmax_attention(inputs: AttnInputs) -> np.ndarray:
     """Scaled dot-product attention: softmax(q k^T / sqrt(d)) v."""
     require_real(inputs.is_complex, "softmax attention")
     logits = inputs.q @ inputs.k.T / math.sqrt(inputs.d)
-    return row_softmax(logits) @ inputs.v
+    return finite_result(row_softmax(logits) @ inputs.v, "softmax attention")
 
 
 def kernel_feature_map(x, epsilon: float = DEFAULT_KERNEL_EPSILON) -> np.ndarray:
@@ -130,7 +130,7 @@ def linear_kernel_attention(
         raise DegenerateDenominator(
             f"row {worst} denominator {denominators[worst]:.3e} is below {epsilon:.1e}"
         )
-    return (fq @ (fk.T @ inputs.v)) / denominators[:, None]
+    return finite_result((fq @ (fk.T @ inputs.v)) / denominators[:, None], "kernel attention")
 
 
 @dataclass(frozen=True)

@@ -71,7 +71,11 @@ def _cmd_bench(args) -> int:
     except AttnOpsError as exc:
         print(f"config: {exc}", file=sys.stderr)
         return 2
-    records, summary = run_bench(config)
+    try:
+        records, summary = run_bench(config)
+    except AttnOpsError as exc:
+        print(f"bench failed: {exc}", file=sys.stderr)
+        return 1
     print(f"{len(records)} records ({len(config.variants)} variants, "
           f"n in {list(config.n_values)}, d={config.d})")
     for line in summary.lines():

@@ -10,9 +10,22 @@ exploits: it rebrackets T V as Q ((K^H K)(Q^H V)) so that no n-by-n matrix is
 ever materialized.
 
 ``FactoredOperator`` holds a product-flavor operator in that factored form,
-T = W G W^H, and gives its action, trace and diagonal in O(n d^2); the
-materializing variants build T itself.  Every trace, diagonal and row-sum
-normalizer goes through ``checked_normalizer``.
+T = W G W^H, of rank at most d.  Every product-flavor variant is evaluated
+from it:
+
+- ``tensor_linear`` and ``tensor_residual`` apply it in O(n d^2);
+- ``tensor_masked`` applies tril(T) by a chunked prefix scan in O(n c d),
+  with c = ``_SCAN_BLOCK_ROWS``, never forming an n-by-n array;
+- ``tensor_expm`` applies expm(T / tr T) in O(n d^2 + d^3) through the
+  d-by-d function phi_1 of the small matrix W^H W G / tr T;
+- ``tensor_naive``/``diag``/``row`` and ``tensor_relu``/``tensor_elem_exp``
+  materialize T, at O(n^2 d) from the factors (``materialize``), and then
+  pay O(n^2 d_v) to apply it.
+
+The elementwise flavor has no rank-d form (its exact factorization has rank
+d^2), so it is built from the n-by-n score matrix at O(n^2 d) and every
+variant applies it materialized.  Every
+trace, diagonal and row-sum normalizer goes through ``checked_normalizer``.
 """
 
 from __future__ import annotations
@@ -88,15 +101,19 @@ def checked_normalizer(values, eps: float, name: str = "operator trace"):
 # Row-block size for the fast diagonal: keeps the per-block Gram product in
 # cache so the kernel stays memory-resident as n grows.
 _DIAG_BLOCK_ROWS = 1024
+# Row-block size of the causal prefix scan: each block pays a c-by-c masked
+# product, so c trades that quadratic work against per-block Python overhead.
+_SCAN_BLOCK_ROWS = 128
 
 
 @dataclass(frozen=True)
 class FactoredOperator:
-    """A product-flavor token operator held as T = W G W^H, never materialized.
+    """A product-flavor token operator held as T = W G W^H; only ``materialize`` forms T.
 
     Query side: W = Q and G = K^H K, so T = A A^H with A = Q K^H; the key
     side swaps the roles of Q and K, giving A^H A.  The rank is at most d,
-    and the action, trace and diagonal each cost O(n d^2).
+    and the action, trace and diagonal each cost O(n d^2); ``materialize``
+    costs O(n^2 d).
     """
 
     w: np.ndarray
@@ -129,6 +146,61 @@ class FactoredOperator:
             ).real
         return np.maximum(out, 0.0)
 
+    def materialize(self) -> np.ndarray:
+        """The n-by-n operator as (W G) W^H, with its diagonal made real and clamped at zero.
+
+        In exact arithmetic each diagonal entry is a sum of squared magnitudes;
+        the clamp makes the stored diagonal exactly real and non-negative, as
+        ``diag`` does, which a bare product does not guarantee.
+        """
+        t = (self.w @ self.gram) @ self.w.conj().T
+        np.fill_diagonal(t, np.maximum(t.diagonal().real, 0.0))
+        return t
+
+    def causal_apply(self, v: np.ndarray) -> np.ndarray:
+        """tril(T) v by a prefix scan over blocks of ``_SCAN_BLOCK_ROWS`` rows.
+
+        With U = W G, block b gets tril(U_b W_b^H) V_b from its own rows plus
+        U_b S, where S is the running sum of W_j^H V_j over earlier blocks
+        (the recurrent form of causal linear attention).  No n-by-n array is
+        formed.
+        """
+        u = self.w @ self.gram
+        w_h = self.w.conj().T
+        n, c = u.shape[0], _SCAN_BLOCK_ROWS
+        lower = np.tri(min(n, c), dtype=bool)  # np.tril would rebuild this mask per block
+        out = np.empty((n, v.shape[1]), dtype=np.result_type(u, v))
+        state = 0
+        for start in range(0, n, c):
+            rows = slice(start, start + c)
+            m = min(c, n - start)
+            block = np.where(lower[:m, :m], u[rows] @ w_h[:, rows], 0) @ v[rows]
+            if start:
+                block += u[rows] @ state
+            out[rows] = block
+            if start + c < n:
+                state = state + w_h[:, rows] @ v[rows]
+        return out
+
+    def expm_apply(self, v: np.ndarray, scale: float, spec: ExpmSpec) -> np.ndarray:
+        """expm(T / scale) v = v + U phi_1(W^H U) W^H v, with U = W G / scale.
+
+        phi_1(z) = (e^z - 1) / z is read off the top-right d-by-d block of
+        expm([[W^H U, I], [0, 0]]), so the exponential runs on a 2d-by-2d
+        matrix with the caller's ``spec``.  W is divided, and U multiplied, by
+        the power of two just above W's largest entry: exact, and it keeps
+        W^H v finite wherever the materialized expm(T / scale) v is.
+        """
+        balance = 2.0 ** np.frexp(np.max(np.abs(self.w)))[1]
+        u = (self.w @ self.gram) / scale * balance
+        w_h = self.w.conj().T / balance
+        d = u.shape[1]
+        block = np.zeros((2 * d, 2 * d), dtype=u.dtype)
+        block[:d, :d] = w_h @ u
+        block[:d, d:] = np.eye(d)
+        phi = matrix_exponential(block, spec)[:d, d:]
+        return v + u @ (phi @ (w_h @ v))
+
 
 def flavored_product(m: np.ndarray, side: str, hadamard: bool) -> np.ndarray:
     """M o conj(M)^T (elementwise flavor), M M^H (query side) or M^H M (key side)."""
@@ -148,10 +220,14 @@ def score_matrix(q, k) -> np.ndarray:
 def build_tensor_operator(q, k, cfg: TensorOpConfig = TensorOpConfig()) -> np.ndarray:
     """Materialize the n-by-n token operator for the configured flavor.
 
-    The elementwise flavor computes entries A[i, j] * conj(A[j, i]); the two
-    sides of it coincide, so ``cfg.side`` only matters for the product flavors.
+    The product flavors are built from their rank-d factors in O(n^2 d); see
+    ``FactoredOperator.materialize``.  The elementwise flavor computes entries
+    A[i, j] * conj(A[j, i]) from the score matrix; its two sides coincide, so
+    ``cfg.side`` only matters for the product flavors.
     """
-    return flavored_product(score_matrix(q, k), cfg.side, cfg.hadamard)
+    if cfg.hadamard:
+        return flavored_product(score_matrix(q, k), cfg.side, True)
+    return FactoredOperator.of(*conform_pair(q, k), cfg.side).materialize()
 
 
 def operator_trace(q, k) -> float:
@@ -193,7 +269,8 @@ def normalized_tensor_operator(q, k, cfg: TensorOpConfig = TensorOpConfig()) -> 
 
 def tensor_attention_naive(inputs: AttnInputs, cfg: TensorOpConfig = TensorOpConfig()) -> np.ndarray:
     """Materialize the normalized operator (O(n^2) memory) and apply it to v."""
-    return normalized_tensor_operator(inputs.q, inputs.k, cfg) @ inputs.v
+    out = normalized_tensor_operator(inputs.q, inputs.k, cfg) @ inputs.v
+    return finite_result(out, "materialized tensor attention")
 
 
 def tensor_attention_linear(
@@ -208,27 +285,32 @@ def tensor_attention_linear(
     of the Hadamard-sum trace.  Equal to the materialized trace-normalized
     path up to roundoff.
     """
-    op = FactoredOperator.of(inputs.q, inputs.k, side)
-    eps = trace_epsilon if trace_epsilon is not None else 1e-12 * inputs.n
-    total = checked_normalizer(op.trace(), eps)
-    return op.apply(inputs.v) / total
+    op, total = _factored_and_trace(inputs, TensorOpConfig(side=side, trace_epsilon=trace_epsilon))
+    return finite_result(op.apply(inputs.v) / total, "linear tensor attention")
 
 
 def tensor_attention_relu(inputs: AttnInputs, cfg: TensorOpConfig = TensorOpConfig()) -> np.ndarray:
     """Clamp the materialized operator at zero, then trace-normalize and apply.
 
     The normalizer is the trace of the unclamped operator; clamping cannot
-    change it because the diagonal is non-negative.  Real inputs only.
+    change it because the diagonal is non-negative.  Real inputs only.  This
+    variant stays materializing: the entrywise clamp has no exact low-rank
+    form, so the product flavors pay O(n^2 d) to build T and O(n^2 d_v) to
+    apply it.
     """
     require_real(inputs.is_complex, "relu tensor attention")
     t, total = _operator_and_trace(inputs, cfg)
-    return (np.maximum(t, 0.0) @ inputs.v) / total
+    return finite_result((np.maximum(t, 0.0) @ inputs.v) / total, "relu tensor attention")
 
 
 def tensor_attention_elem_exp(
     inputs: AttnInputs, cfg: TensorOpConfig = TensorOpConfig()
 ) -> np.ndarray:
-    """Exponentiate the trace-normalized operator entry by entry, then apply."""
+    """Exponentiate the trace-normalized operator entry by entry, then apply.
+
+    This variant stays materializing: the entrywise exponential has no exact
+    low-rank form, so it pays O(n^2 d) to build T and O(n^2 d_v) to apply it.
+    """
     require_real(inputs.is_complex, "elementwise-exp tensor attention")
     t, total = _operator_and_trace(inputs, cfg)
     return finite_result(np.exp(t / total) @ inputs.v, "elementwise exponential")
@@ -239,9 +321,19 @@ def tensor_attention_expm(
     cfg: TensorOpConfig = TensorOpConfig(),
     spec: ExpmSpec = ExpmSpec(),
 ) -> np.ndarray:
-    """Apply the matrix exponential of the trace-normalized operator to v."""
-    t, total = _operator_and_trace(inputs, cfg)
-    return matrix_exponential(t / total, spec) @ inputs.v
+    """Apply the matrix exponential of the trace-normalized operator to v.
+
+    The product flavors never form T: the exponential runs on a 2d-by-2d
+    matrix (``FactoredOperator.expm_apply``), O(n d^2 + d^3) in all.  The
+    elementwise flavor exponentiates the materialized n-by-n operator.
+    """
+    if cfg.hadamard:
+        t, total = _operator_and_trace(inputs, cfg)
+        out = matrix_exponential(t / total, spec) @ inputs.v
+    else:
+        op, total = _factored_and_trace(inputs, cfg)
+        out = op.expm_apply(inputs.v, total, spec)
+    return finite_result(out, "matrix-exponential tensor attention")
 
 
 def tensor_attention_masked(
@@ -250,10 +342,18 @@ def tensor_attention_masked(
     """Keep only the lower triangle (diagonal included) before applying.
 
     Token i attends to tokens j <= i.  The trace normalizer is unchanged by
-    the mask since the diagonal survives it.
+    the mask since the diagonal survives it.  The product flavors run a
+    prefix scan over the factors (``FactoredOperator.causal_apply``), O(n c d)
+    with no n-by-n array; the elementwise flavor masks the materialized
+    operator.
     """
-    t, total = _operator_and_trace(inputs, cfg)
-    return (np.tril(t) @ inputs.v) / total
+    if cfg.hadamard:
+        t, total = _operator_and_trace(inputs, cfg)
+        out = np.tril(t) @ inputs.v
+    else:
+        op, total = _factored_and_trace(inputs, cfg)
+        out = op.causal_apply(inputs.v)
+    return finite_result(out / total, "masked tensor attention")
 
 
 def tensor_attention_residual(
@@ -264,13 +364,14 @@ def tensor_attention_residual(
     """(T + lam * tr(T) * I) v, evaluated in the factorized linear-time form.
 
     Unnormalized by design, so large inputs can overflow; that raises
-    NonFiniteInput.  Only the product flavors admit the O(n) factorization,
-    so the elementwise flavor is rejected.
+    NonFiniteInput.  The factorization used is the rank-d one of the product
+    flavors.  The elementwise flavor is rejected: it does factor, but only at
+    rank d^2 (Khatri-Rao rows q_i kron k_i), which this path does not build.
     """
     if not 0 <= lam < np.inf:
         raise ValueError("lam must be finite and non-negative")
     if cfg.hadamard:
-        raise ValueError("the elementwise flavor has no linear-time factorization")
+        raise ValueError("the elementwise flavor has no rank-d factorization")
     op = FactoredOperator.of(inputs.q, inputs.k, cfg.side)
     out = op.apply(inputs.v)
     if lam:
@@ -282,3 +383,9 @@ def _operator_and_trace(inputs: AttnInputs, cfg: TensorOpConfig) -> tuple[np.nda
     """The materialized operator and its guarded trace normalizer."""
     t = build_tensor_operator(inputs.q, inputs.k, cfg)
     return t, checked_normalizer(float(np.real(np.trace(t))), cfg.epsilon(t.shape[0]))
+
+
+def _factored_and_trace(inputs: AttnInputs, cfg: TensorOpConfig) -> tuple[FactoredOperator, float]:
+    """The product-flavor operator in factored form and its guarded trace normalizer."""
+    op = FactoredOperator.of(inputs.q, inputs.k, cfg.side)
+    return op, checked_normalizer(op.trace(), cfg.epsilon(inputs.n))

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import AttnInputs, conform_pair
+from .dense import finite_result
 from .errors import DvMismatch
 from .tensor_attention import K_SIDE, Q_SIDE, checked_normalizer, flavored_product
 
@@ -87,7 +88,7 @@ def tensor_interaction(
         )
     t = build_interaction_operator(inputs.q, inputs.k, cfg)
     total = checked_normalizer(float(np.real(np.trace(t))), cfg.epsilon(t.shape[0]))
-    as_written = (t @ inputs.v.T) / total
+    as_written = finite_result((t @ inputs.v.T) / total, "tensor interaction")
     if cfg.orientation == AS_WRITTEN_DXN:
         return as_written
     return np.ascontiguousarray(as_written.T)

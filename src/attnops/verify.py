@@ -22,10 +22,12 @@ from .tensor_attention import (
     TensorOpConfig,
     build_tensor_operator,
     diag_fast,
+    flavored_product,
     normalized_tensor_operator,
     operator_trace,
     score_matrix,
     tensor_attention_elem_exp,
+    tensor_attention_expm,
     tensor_attention_linear,
     tensor_attention_masked,
     tensor_attention_naive,
@@ -94,6 +96,12 @@ def _quadratic_form_floor(t: np.ndarray, rng, probes: int = 20) -> float:
         floor = quad / max(scale * np.real(np.conj(x) @ x), 1e-300)
         worst = min(worst, floor)
     return -worst  # deviation: positive when some probe went negative
+
+
+def _score_built_operator(inputs, side: str) -> np.ndarray:
+    """T / tr(T) for the product flavor, built from the n-by-n score matrix, not the factors."""
+    t = flavored_product(score_matrix(inputs.q, inputs.k), side, False)
+    return t / np.trace(t).real
 
 
 def run_verify(seed: int = 2024, negative_control: bool = False) -> VerifyReport:
@@ -308,6 +316,7 @@ def run_verify(seed: int = 2024, negative_control: bool = False) -> VerifyReport
         pairs = [
             (tensor_attention_relu(inputs, cfg), naive_reference(inputs, "tensor_relu")),
             (tensor_attention_elem_exp(inputs, cfg), naive_reference(inputs, "tensor_elem_exp")),
+            (tensor_attention_expm(inputs, cfg), naive_reference(inputs, "tensor_expm")),
             (tensor_attention_masked(inputs, cfg), naive_reference(inputs, "tensor_masked")),
             (
                 tensor_attention_residual(inputs, cfg, lam=0.7),
@@ -317,7 +326,28 @@ def run_verify(seed: int = 2024, negative_control: bool = False) -> VerifyReport
         ]
         for fast, slow in pairs:
             dev = max(dev, np.max(np.abs(fast - slow)))
-    checks.append(_result("clamped/exp/masked/residual/interaction match loop oracles", dev, 1e-10))
+    checks.append(
+        _result("clamped/exp/expm/masked/residual/interaction match loop oracles", dev, 1e-10)
+    )
+
+    # factored masked scan and expm against the trace-normalized operator built from
+    # the score matrix; the masked size spans several scan blocks, the expm size keeps
+    # the n-by-n reference exponential cheap
+    dev = 0.0
+    long_inputs = random_inputs(300, 8, d_v=5, seed=seed + 350)
+    short_inputs = random_inputs(48, 8, d_v=5, seed=seed + 351)
+    for side in ("q", "k"):
+        cfg = TensorOpConfig(side=side)
+        t_long = _score_built_operator(long_inputs, side)
+        t_short = _score_built_operator(short_inputs, side)
+        pairs = [
+            (tensor_attention_masked(long_inputs, cfg), np.tril(t_long) @ long_inputs.v),
+            (tensor_attention_expm(short_inputs, cfg), expm_pade(t_short) @ short_inputs.v),
+        ]
+        for fast, slow in pairs:
+            dev = max(dev, np.max(np.abs(fast - slow)) / np.max(np.abs(slow)))
+    checks.append(_result("factored masked and expm paths equal the materialized formulas",
+                          dev, 1e-12, detail="masked n=300, expm n=48; relative to the largest entry"))
 
     # interaction-specific identities
     dev = 0.0

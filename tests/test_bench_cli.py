@@ -211,6 +211,15 @@ class TestCli:
         assert main(["bench", "--config", str(cfg)]) == 2
         assert "config:" in capsys.readouterr().err
 
+    def test_bench_library_error_exits_one(self, tmp_path, capsys):
+        # Row normalization raises DegenerateNormalizer on the bench's signed inputs.
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text("variants=tensor_row\nn_values=8,16\nd=4\nrepetitions=3\nwarmup=0\n")
+        assert main(["bench", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("bench failed: row sum")
+        assert "Traceback" not in err
+
     def test_demo_default_runs(self, capsys):
         assert main(["demo"]) == 0
         out = capsys.readouterr().out

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
+
+import attnops.tensor_attention as tensor_attention_module
 
 from attnops import (
     AttnInputs,
@@ -118,9 +121,82 @@ class TestFactoredOperator:
         np.testing.assert_allclose(op.diag(), np.diag(t).real, atol=1e-10)
         np.testing.assert_array_equal(op.diag(), diag_fast(inputs.q, inputs.k, side))
 
+    @pytest.mark.parametrize("side", ["q", "k"])
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("n,d", [(1, 3), (3, 5), (40, 6)])
+    def test_materialize_matches_score_product(self, side, complex_, n, d):
+        q = random_matrix(n, d, seed=n, complex_=complex_)
+        k = random_matrix(n, d, seed=n + 50, complex_=complex_)
+        a = q @ k.conj().T
+        expected = a @ a.conj().T if side == "q" else a.conj().T @ a
+        t = FactoredOperator.of(q, k, side).materialize()
+        np.testing.assert_allclose(t, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+        diag = np.diag(t)
+        assert np.all(diag.imag == 0.0)
+        assert np.all(diag.real >= 0.0)
+
     def test_rejects_unknown_side(self):
         with pytest.raises(ValueError):
             FactoredOperator.of(Q, K, "both")
+
+
+# (n, d, d_v): values narrower than the features, a single token, fewer tokens than features.
+FACTORED_SHAPES = [(16, 4, 3), (1, 3, 2), (3, 5, 5)]
+
+
+def _materialized_expm(inputs, side):
+    t = build_tensor_operator(inputs.q, inputs.k, TensorOpConfig(side=side))
+    return scipy.linalg.expm(t / np.trace(t).real) @ inputs.v
+
+
+class TestFactoredPaths:
+    """The product-flavor masked and expm variants, evaluated from the rank-d factors."""
+
+    @pytest.mark.parametrize("side", ["q", "k"])
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("n,d,d_v", FACTORED_SHAPES)
+    def test_masked_matches_loop_oracle_across_blocks(self, monkeypatch, side, complex_, n, d, d_v):
+        monkeypatch.setattr(tensor_attention_module, "_SCAN_BLOCK_ROWS", 4)
+        inputs = random_inputs(n, d, d_v=d_v, seed=n + d, complex_=complex_)
+        out = tensor_attention_masked(inputs, TensorOpConfig(side=side))
+        expected = naive_reference(inputs, "tensor_masked", side=side)
+        np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("side", ["q", "k"])
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_masked_matches_materialized_at_scale(self, side, complex_):
+        inputs = random_inputs(300, 8, d_v=5, seed=23, complex_=complex_)
+        assert inputs.n > 2 * tensor_attention_module._SCAN_BLOCK_ROWS
+        t = build_tensor_operator(inputs.q, inputs.k, TensorOpConfig(side=side))
+        expected = np.tril(t) @ inputs.v / np.trace(t).real
+        out = tensor_attention_masked(inputs, TensorOpConfig(side=side))
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+
+    @pytest.mark.parametrize("spec", [ExpmSpec(), ExpmSpec("taylor", taylor_terms=30)])
+    @pytest.mark.parametrize("side", ["q", "k"])
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("n,d,d_v", [*FACTORED_SHAPES, (300, 8, 5)])
+    def test_expm_matches_scipy(self, spec, side, complex_, n, d, d_v):
+        inputs = random_inputs(n, d, d_v=d_v, seed=n + d, complex_=complex_)
+        expected = _materialized_expm(inputs, side)
+        out = tensor_attention_expm(inputs, TensorOpConfig(side=side), spec)
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+
+    def test_product_flavors_never_materialize(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("materialized the n-by-n operator")
+
+        monkeypatch.setattr(tensor_attention_module, "build_tensor_operator", refuse)
+        inputs = random_inputs(50, 4, d_v=3, seed=24)
+        for side in ("q", "k"):
+            cfg = TensorOpConfig(side=side)
+            assert tensor_attention_masked(inputs, cfg).shape == (50, 3)
+            assert tensor_attention_expm(inputs, cfg).shape == (50, 3)
+        # The elementwise flavor still materializes.
+        with pytest.raises(AssertionError, match="materialized"):
+            tensor_attention_masked(inputs, TensorOpConfig(hadamard=True))
+        with pytest.raises(AssertionError, match="materialized"):
+            tensor_attention_expm(inputs, TensorOpConfig(hadamard=True))
 
 
 class TestNaivePath:
@@ -200,6 +276,12 @@ class TestLinearPath:
         zeros = AttnInputs(np.zeros((3, 2)), np.zeros((3, 2)), np.ones((3, 2)))
         with pytest.raises(DegenerateNormalizer):
             tensor_attention_linear(zeros)
+
+    def test_rejects_non_positive_epsilon(self):
+        zeros = AttnInputs(np.zeros((3, 2)), np.zeros((3, 2)), np.ones((3, 2)))
+        for eps in (0.0, -1.0):
+            with pytest.raises(ValueError, match="trace_epsilon"):
+                tensor_attention_linear(zeros, trace_epsilon=eps)
 
 
 class TestReluPath:
@@ -434,6 +516,40 @@ class TestOverflow:
         except AttnOpsError:
             return
         assert np.all(np.isfinite(out))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "variant",
+        ["softmax", "kernel", "interaction", "tensor_diag", "tensor_linear", "tensor_masked",
+         "tensor_relu"],
+    )
+    def test_overflowed_output_raises(self, variant):
+        # The normalizers pass the guard; the output itself overflows.
+        inputs = random_inputs(16, 4, seed=0)
+        q, k, v = inputs.q.copy(), inputs.k.copy(), inputs.v.copy()
+        if variant == "softmax":
+            q[0] = np.abs(q[0]) * 1e170
+            k[0] = np.abs(k[0]) * 1e170
+        elif variant == "kernel":
+            v[:] = 1e308
+        else:
+            v[0] = v[1] = 1e307
+            q[0] *= 1e3
+        with pytest.raises(NonFiniteInput, match="overflowed"):
+            forward(variant, AttnInputs(q, k, v))
+
+    def test_factored_expm_keeps_the_materialized_range(self):
+        # W^H v would overflow unbalanced; expm(T / tr T) v itself is finite.
+        inputs = random_inputs(16, 4, seed=0)
+        q, v = inputs.q.copy(), inputs.v.copy()
+        v[0] = v[1] = 1e307
+        q[0] *= 1e3
+        big = AttnInputs(q, inputs.k, v)
+        expected = _materialized_expm(big, "q")
+        assert np.all(np.isfinite(expected))
+        np.testing.assert_allclose(
+            tensor_attention_expm(big), expected, rtol=0, atol=1e-12 * np.abs(expected).max()
+        )
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowed_normalizer_names_entry(self):
