@@ -73,7 +73,7 @@ def _cmd_bench(args) -> int:
         return 2
     try:
         records, summary = run_bench(config)
-    except AttnOpsError as exc:
+    except (AttnOpsError, OSError) as exc:  # OSError: the record file cannot be written
         print(f"bench failed: {exc}", file=sys.stderr)
         return 1
     print(f"{len(records)} records ({len(config.variants)} variants, "
@@ -85,16 +85,21 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+def _demo_usage_error(message: str) -> int:
+    print(message, file=sys.stderr)
+    print("usage: attnops demo [--mechanism <id>] [--seed <u64>] [--n <N>] [--d <d>]",
+          file=sys.stderr)
+    return 2
+
+
 def _cmd_demo(args) -> int:
     known = variant_ids()
     if args.mechanism not in known:
-        print(
-            f"unknown mechanism {args.mechanism!r}; choose one of {', '.join(known)}",
-            file=sys.stderr,
+        return _demo_usage_error(
+            f"unknown mechanism {args.mechanism!r}; choose one of {', '.join(known)}"
         )
-        print("usage: attnops demo [--mechanism <id>] [--seed <u64>] [--n <N>] [--d <d>]",
-              file=sys.stderr)
-        return 2
+    if args.n < 1 or args.d < 1:
+        return _demo_usage_error(f"--n and --d must be >= 1, got --n {args.n} --d {args.d}")
     try:
         params = vit_init(
             patch_dim=args.d,

@@ -514,6 +514,40 @@ def naive_variant_ids() -> tuple[str, ...]:
 
 
 # ---------------------------------------------------------------------------
+# encoder stage references
+
+
+def loop_gelu(x) -> np.ndarray:
+    """0.5 x (1 + erf(x / sqrt 2)) one real element at a time, with ``math.erf``."""
+    x = np.asarray(x)
+    if np.iscomplexobj(x):
+        raise ComplexNotSupported("the gelu oracle is defined for real inputs")
+    values = [0.5 * v * (1.0 + math.erf(v / math.sqrt(2.0))) for v in x.ravel().tolist()]
+    return np.array(values, dtype=float).reshape(x.shape)
+
+
+def loop_layer_norm(x, scale, shift, eps: float) -> np.ndarray:
+    """Row by row: explicit mean and variance sums, then normalize, scale and shift."""
+    x = as_matrix(x, "x")
+    if np.iscomplexobj(x):
+        raise ComplexNotSupported("the layer-norm oracle is defined for real inputs")
+    scale = as_vector(scale, "scale")
+    shift = as_vector(shift, "shift")
+    rows, width = x.shape
+    if scale.size != width or shift.size != width:
+        raise DimensionMismatch(f"scale/shift need {width} entries, got {scale.size}, {shift.size}")
+    out = np.zeros((rows, width))
+    for i in range(rows):
+        row = x[i].tolist()
+        mean = sum(row) / width
+        var = sum((v - mean) ** 2 for v in row) / width
+        denom = math.sqrt(var + eps)
+        for j in range(width):
+            out[i, j] = (row[j] - mean) / denom * scale[j] + shift[j]
+    return out
+
+
+# ---------------------------------------------------------------------------
 # finite-difference probe
 
 

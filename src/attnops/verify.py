@@ -16,7 +16,14 @@ import numpy as np
 from .attention import linear_kernel_attention, softmax_attention
 from .dense import gemm, kron, partial_trace, trace
 from .expm import expm_pade, expm_taylor
-from .oracles import fd_probe, kron_vec_check, naive_reference, trace_identity_report
+from .oracles import (
+    fd_probe,
+    kron_vec_check,
+    loop_gelu,
+    loop_layer_norm,
+    naive_reference,
+    trace_identity_report,
+)
 from .synth import random_inputs, random_matrix
 from .tensor_attention import (
     TensorOpConfig,
@@ -35,7 +42,7 @@ from .tensor_attention import (
     tensor_attention_residual,
 )
 from .tensor_interaction import build_interaction_operator, interaction_trace, tensor_interaction
-from .vit import vit_forward, vit_init
+from .vit import _GELU_BLOCK, LAYER_NORM_EPS, gelu, layer_norm, vit_forward, vit_init
 
 
 @dataclass(frozen=True)
@@ -394,6 +401,20 @@ def run_verify(seed: int = 2024, negative_control: bool = False) -> VerifyReport
             dev = max(dev, float(np.max(np.maximum(lo - out, 0.0))))
             dev = max(dev, float(np.max(np.maximum(out - hi, 0.0))))
     checks.append(_result("convex mechanisms stay inside the value envelope", dev, 1e-12))
+
+    # encoder stages against loop oracles; the gelu input spans one full block and part
+    # of the next
+    h = rng.standard_normal(_GELU_BLOCK + 321) * 3.0
+    x = rng.standard_normal((65, 32)) * 5.0 + 2.0
+    scale = rng.standard_normal(32)
+    shift = rng.standard_normal(32)
+    pairs = [
+        (gelu(h), loop_gelu(h)),
+        (layer_norm(x, scale, shift), loop_layer_norm(x, scale, shift, LAYER_NORM_EPS)),
+    ]
+    dev = max(np.max(np.abs(fast - slow)) / np.max(np.abs(slow)) for fast, slow in pairs)
+    checks.append(_result("encoder gelu and layer norm equal their loop oracles", dev, 1e-12,
+                          detail="relative to the largest entry"))
 
     # encoder smoke: deterministic and finite
     params = vit_init(6, 8, 16, 4, 2, seed=seed, mechanism="tensor_linear")

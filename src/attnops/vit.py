@@ -9,10 +9,15 @@ patches, add positional embeddings, then run L rounds of
 and read out the layer-normalized class token.  The mixer is any registry
 variant id (or a callable), which makes the encoder the integration vehicle
 for comparing mechanisms end to end.
+
+Allocation discipline: each elementwise stage writes into an array it
+allocated itself, never into the mixer's output, which a callable mixer may
+still hold.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
@@ -26,6 +31,9 @@ from .errors import DimensionMismatch
 from .registry import forward as registry_forward
 
 LAYER_NORM_EPS = 1e-5
+# Elements per gelu block: the block and its temporaries stay in cache.
+_GELU_BLOCK = 16384
+_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -130,15 +138,60 @@ def vit_init(
     )
 
 
+def _into(ufunc, a: np.ndarray, b) -> np.ndarray:
+    """``ufunc(a, b)``, written into ``a`` when the result keeps ``a``'s dtype and shape.
+
+    ``a`` must be a temporary the caller owns.  When ``b`` promotes the dtype or
+    broadcasts ``a`` to a larger shape, a new array is returned, as the plain
+    expression would.
+    """
+    if np.result_type(a, b) != a.dtype:
+        return ufunc(a, b)
+    try:
+        return ufunc(a, b, out=a)
+    except ValueError:  # the broadcast shape is larger than ``a``
+        return ufunc(a, b)
+
+
 def layer_norm(x: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarray:
     """Per-row normalization to mean 0 / variance 1, then affine scale and shift."""
     mean = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
-    return (x - mean) / np.sqrt(var + LAYER_NORM_EPS) * scale + shift
+    out = x - mean
+    # var is real at mean's precision with one column: dividing in place never promotes
+    np.divide(out, np.sqrt(var + LAYER_NORM_EPS), out=out)
+    return _into(np.add, _into(np.multiply, out, scale), shift)
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + erf(x / math.sqrt(2.0)))
+@functools.cache
+def _gelu_dtype(dtype: np.dtype) -> np.dtype:
+    """The dtype the one-line gelu formula returns for ``dtype`` input."""
+    x = np.empty(0, dtype)
+    return (0.5 * x * (1.0 + erf(x / _SQRT2))).dtype
+
+
+def gelu(x) -> np.ndarray:
+    """Gaussian error linear unit, ``0.5 * x * (1 + erf(x / sqrt(2)))``.
+
+    Written as one expression, the formula allocates five full-size arrays and
+    pays for the first touch of each; at encoder sizes that costs about as much
+    as ``erf`` itself.  Here one output is allocated and the same ufuncs
+    run over blocks of ``_GELU_BLOCK`` elements whose temporaries stay in cache.
+    Every element goes through the same operations, operands in the same order,
+    so the bytes, dtype and type match the one-line formula.  ``x`` is not
+    modified.
+    """
+    x = np.asarray(x)
+    flat = x.reshape(-1)
+    out = np.empty(flat.shape, _gelu_dtype(x.dtype))
+    for start in range(0, flat.size, _GELU_BLOCK):
+        block = flat[start:start + _GELU_BLOCK]
+        res = out[start:start + _GELU_BLOCK]
+        np.divide(block, _SQRT2, out=res)
+        erf(res, out=res)
+        np.add(1.0, res, out=res)
+        np.multiply(0.5 * block, res, out=res)
+    return out.reshape(x.shape) if x.ndim else out[0]
 
 
 def vit_forward(params: ViTParams, patches) -> np.ndarray:
@@ -154,7 +207,8 @@ def vit_forward(params: ViTParams, patches) -> np.ndarray:
         def mix(attn: AttnInputs) -> np.ndarray:
             return registry_forward(params.mechanism, attn, **params.mechanism_options)
 
-    tokens = np.vstack([params.class_token, patches @ params.patch_embed]) + params.pos_embed
+    tokens = np.vstack([params.class_token, patches @ params.patch_embed])
+    tokens = _into(np.add, tokens, params.pos_embed)
     for block in params.blocks:
         normed = layer_norm(tokens, block.ln1_scale, block.ln1_shift)
         mixed = mix(AttnInputs(normed, normed, normed))
@@ -162,7 +216,9 @@ def vit_forward(params: ViTParams, patches) -> np.ndarray:
             raise DimensionMismatch(
                 f"mixer returned shape {mixed.shape}, expected {tokens.shape}"
             )
-        tokens = mixed + tokens
+        tokens = mixed + tokens  # a new array: the mixer may still hold ``mixed``
         normed = layer_norm(tokens, block.ln2_scale, block.ln2_shift)
-        tokens = (gelu(normed @ block.mlp_w1 + block.mlp_b1) @ block.mlp_w2 + block.mlp_b2) + tokens
+        hidden = _into(np.add, normed @ block.mlp_w1, block.mlp_b1)
+        out = _into(np.add, gelu(hidden) @ block.mlp_w2, block.mlp_b2)
+        tokens = _into(np.add, out, tokens)
     return layer_norm(tokens[:1], params.head_scale, params.head_shift)[0]

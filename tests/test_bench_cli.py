@@ -220,6 +220,16 @@ class TestCli:
         assert err.startswith("bench failed: row sum")
         assert "Traceback" not in err
 
+    def test_bench_unwritable_output_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text("variants=tensor_linear\nn_values=8,16\nd=4\nrepetitions=3\nwarmup=0\n")
+        out_path = tmp_path / "missing" / "x.csv"
+        assert main(["bench", "--config", str(cfg), "--out", str(out_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("bench failed:")
+        assert "missing" in err
+        assert not out_path.parent.exists()
+
     def test_demo_default_runs(self, capsys):
         assert main(["demo"]) == 0
         out = capsys.readouterr().out
@@ -231,3 +241,12 @@ class TestCli:
     def test_demo_unknown_mechanism(self, capsys):
         assert main(["demo", "--mechanism", "warp"]) == 2
         assert "usage" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--n", "--d"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_demo_rejects_non_positive_sizes(self, flag, value, capsys):
+        assert main(["demo", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert "must be >= 1" in captured.err
+        assert "usage: attnops demo" in captured.err
+        assert captured.out == ""

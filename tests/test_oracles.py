@@ -3,6 +3,8 @@ import pytest
 
 from attnops import (
     AttnInputs,
+    ComplexNotSupported,
+    DimensionMismatch,
     ShapeTooLarge,
     UnknownVariant,
     fd_probe,
@@ -14,6 +16,7 @@ from attnops import (
     tensor_attention_naive,
     trace_identity_report,
 )
+from attnops.oracles import loop_gelu, loop_layer_norm
 
 
 class TestKronVecCheck:
@@ -181,3 +184,25 @@ class TestFastPathsAgainstOracles:
             np.testing.assert_allclose(
                 tensor_attention_linear(inputs), naive_reference(inputs, "tensor"), atol=1e-10
             )
+
+
+class TestEncoderStageOracles:
+    def test_gelu_known_values(self):
+        got = loop_gelu(np.array([[0.0, 1.0], [-1.0, 3.0]]))
+        # Phi(1) = 0.8413447460685429..., Phi(3) = 0.9986501019683699...
+        expected = np.array([[0.0, 0.8413447460685429], [-0.15865525393145707, 2.9959503059051097]])
+        np.testing.assert_allclose(got, expected, rtol=1e-15, atol=1e-16)
+
+    def test_layer_norm_rows_have_zero_mean_unit_variance(self):
+        x = np.random.default_rng(3).standard_normal((4, 9)) * 7.0
+        out = loop_layer_norm(x, np.ones(9), np.zeros(9), eps=0.0)
+        np.testing.assert_allclose(out.mean(axis=1), 0.0, atol=1e-14)
+        np.testing.assert_allclose(out.var(axis=1), 1.0, rtol=1e-13)
+
+    def test_real_inputs_only(self):
+        with pytest.raises(ComplexNotSupported):
+            loop_gelu(np.array([1j]))
+        with pytest.raises(ComplexNotSupported):
+            loop_layer_norm(np.ones((2, 3)) * 1j, np.ones(3), np.zeros(3), 1e-5)
+        with pytest.raises(DimensionMismatch):
+            loop_layer_norm(np.ones((2, 3)), np.ones(4), np.zeros(3), 1e-5)

@@ -1,16 +1,61 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from attnops import (
+    AttnInputs,
+    AttnOpsError,
     DegenerateNormalizer,
     DimensionMismatch,
     array_checksum,
+    forward,
+    gelu,
     layer_norm,
     random_matrix,
     variant_ids,
     vit_forward,
     vit_init,
 )
+from attnops import vit as vit_module
+from attnops.vit import LAYER_NORM_EPS
+
+
+# The one-expression formulas the encoder stages are pinned to, byte for byte.
+def reference_gelu(x):
+    return 0.5 * x * (1.0 + erf(x / math.sqrt(2.0)))
+
+
+def reference_layer_norm(x, scale, shift):
+    mean = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    return (x - mean) / np.sqrt(var + LAYER_NORM_EPS) * scale + shift
+
+
+def reference_forward(params, patches):
+    if callable(params.mechanism):
+        mix = params.mechanism
+    else:
+        def mix(attn):
+            return forward(params.mechanism, attn, **params.mechanism_options)
+
+    tokens = np.vstack([params.class_token, patches @ params.patch_embed]) + params.pos_embed
+    for block in params.blocks:
+        normed = reference_layer_norm(tokens, block.ln1_scale, block.ln1_shift)
+        tokens = mix(AttnInputs(normed, normed, normed)) + tokens
+        normed = reference_layer_norm(tokens, block.ln2_scale, block.ln2_shift)
+        hidden = reference_gelu(normed @ block.mlp_w1 + block.mlp_b1)
+        tokens = (hidden @ block.mlp_w2 + block.mlp_b2) + tokens
+    return reference_layer_norm(tokens[:1], params.head_scale, params.head_shift)[0]
+
+
+def assert_same_bytes(got, expected):
+    assert type(got) is type(expected)
+    got, expected = np.asarray(got), np.asarray(expected)
+    assert got.dtype == expected.dtype
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
 
 
 def _params_checksum(params):
@@ -107,6 +152,28 @@ class TestForward:
                 continue  # a legitimate reported degeneracy, not a NaN
             assert np.all(np.isfinite(out)), mechanism
 
+    @pytest.mark.parametrize("mechanism", variant_ids())
+    def test_bytes_match_the_reference_forward(self, mechanism):
+        params = vit_init(6, 8, 32, 9, 2, seed=8, mechanism=mechanism)
+        patches = random_matrix(9, 6, seed=8)
+        try:
+            expected = reference_forward(params, patches)
+        except AttnOpsError as exc:
+            with pytest.raises(type(exc)):
+                vit_forward(params, patches)
+            return
+        assert_same_bytes(vit_forward(params, patches), expected)
+
+    def test_mixer_output_is_not_written_into(self):
+        """A callable mixer may return an array it keeps; the forward pass must not touch it."""
+        held = random_matrix(5, 8, seed=9)
+        kept = held.copy()
+        params = vit_init(6, 8, 32, 4, 3, seed=9, mechanism=lambda attn: held)
+        patches = random_matrix(4, 6, seed=9)
+        out = vit_forward(params, patches)
+        np.testing.assert_array_equal(held, kept)
+        assert_same_bytes(out, reference_forward(params, patches))
+
     def test_softmax_and_tensor_mechanisms_coexist(self):
         patches = random_matrix(4, 6, seed=6)
         outputs = {}
@@ -132,3 +199,86 @@ class TestLayerNorm:
         shift = np.array([1.0, 1.0, 1.0, 1.0])
         base = layer_norm(x, np.ones(4), np.zeros(4))
         np.testing.assert_allclose(layer_norm(x, scale, shift), base * 2.0 + 1.0, atol=1e-12)
+
+    MAGNITUDES = (1e-150, 1e-50, 1e-5, 1.0, 1e5, 1e50, 1e150)
+
+    @pytest.mark.parametrize("magnitude", MAGNITUDES)
+    @pytest.mark.parametrize("kind", ["float64", "float32", "int64", "complex128"])
+    def test_bytes_match_the_reference(self, kind, magnitude):
+        rng = np.random.default_rng(10)
+        x = rng.standard_normal((7, 24)) * magnitude
+        if kind == "complex128":
+            x = x + 1j * rng.standard_normal((7, 24)) * magnitude
+        elif kind == "int64":
+            x = np.round(rng.standard_normal((7, 24)) * min(magnitude, 1e15))
+        with np.errstate(over="ignore"):  # float32 overflows at the largest magnitudes
+            x = x.astype(kind)
+        before = x.copy()
+        for scale, shift in (
+            (np.ones(24), np.zeros(24)),
+            (rng.standard_normal(24), rng.standard_normal(24)),
+            (rng.standard_normal(24).astype(np.float32), np.float32(0.5)),  # float32 x stays float32
+            (2.0, 1.0),
+        ):
+            with np.errstate(all="ignore"):
+                expected = reference_layer_norm(x, scale, shift)
+                got = layer_norm(x, scale, shift)
+            assert_same_bytes(got, expected)
+            assert not np.shares_memory(got, x)
+        np.testing.assert_array_equal(x, before)
+
+    def test_promotes_where_the_formula_does(self):
+        x = np.random.default_rng(11).standard_normal((3, 4)).astype(np.float32)
+        got = layer_norm(x, np.ones(4), np.zeros(4))
+        assert got.dtype == np.float64
+        assert_same_bytes(got, reference_layer_norm(x, np.ones(4), np.zeros(4)))
+
+    def test_scale_that_broadcasts_the_rows_up(self):
+        x = np.random.default_rng(12).standard_normal((1, 4))
+        scale = np.random.default_rng(13).standard_normal((3, 4))
+        assert_same_bytes(layer_norm(x, scale, 0.0), reference_layer_norm(x, scale, 0.0))
+
+
+def gelu_inputs():
+    rng = np.random.default_rng(14)
+    block = vit_module._GELU_BLOCK
+    return {
+        "python float": 0.75,
+        "python int": -2,
+        "zero-d": np.array(1.25),
+        "one-d": rng.standard_normal(7),
+        "two-d, partial block": rng.standard_normal((3, 1000)),
+        "two-d, past one block": rng.standard_normal((3, block // 3 + 17)),
+        "several blocks": rng.standard_normal(2 * block + 5) * 4.0,
+        "non-contiguous": rng.standard_normal((40, 3 * block // 40))[:, ::3],
+        "transposed": rng.standard_normal((130, 150)).T,
+        "float32": rng.standard_normal(block + 9).astype(np.float32),
+        "float16": rng.standard_normal(50).astype(np.float16),
+        "int": rng.integers(-6, 6, size=(5, block // 4)),
+        "complex": rng.standard_normal(block + 9) + 1j * rng.standard_normal(block + 9),
+        "empty": np.zeros((0, 3)),
+        "specials": np.array([0.0, -0.0, np.inf, -np.inf, 1e308, -1e308, 5e-324, 40.0]),
+    }
+
+
+class TestGelu:
+    @pytest.mark.parametrize("name", list(gelu_inputs()))
+    def test_bytes_match_the_formula(self, name):
+        x = gelu_inputs()[name]
+        before = np.array(x, copy=True)
+        with np.errstate(all="ignore"):  # -inf gives inf * 0 in the formula too
+            expected = reference_gelu(x)
+            got = gelu(x)
+        assert_same_bytes(got, expected)
+        np.testing.assert_array_equal(x, before)
+
+    def test_inputs_cross_block_boundaries(self):
+        block = vit_module._GELU_BLOCK
+        sizes = [np.asarray(x).size for x in gelu_inputs().values()]
+        assert any(size > 2 * block for size in sizes)
+        assert any(block < size < 2 * block for size in sizes)
+
+    def test_zero_maps_to_zero(self):
+        assert gelu(0) == 0
+        assert gelu(0.0) == 0
+        assert np.all(gelu(np.zeros(5)) == 0)
