@@ -9,7 +9,6 @@ import numpy as np
 
 from attnops import (
     AttnInputs,
-    TensorOpConfig,
     build_tensor_operator,
     linear_kernel_attention,
     score_matrix,
@@ -52,7 +51,7 @@ def main():
 
     print("\n-- diagonal / row normalizations --")
     for mode in ("diag", "row"):
-        out = tensor_attention_naive(inputs, TensorOpConfig(normalization=mode))
+        out = tensor_attention_naive(inputs, normalization=mode)
         print(f"{mode}:\n{out}")
 
     print("\n-- channel-space operator (d x d, size independent of tokens) --")

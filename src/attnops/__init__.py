@@ -87,7 +87,6 @@ from .tensor_attention import (
     tensor_attention_residual,
 )
 from .tensor_interaction import (
-    InteractionConfig,
     build_interaction_operator,
     coupling_matrix,
     interaction_trace,

@@ -85,21 +85,26 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _demo_usage_error(message: str) -> int:
+_USAGE = {
+    "verify": "usage: attnops verify [--negative-control] [--seed <u64>]",
+    "demo": "usage: attnops demo [--mechanism <id>] [--seed <u64>] [--n <N>] [--d <d>]",
+}
+
+
+def _usage_error(command: str, message: str) -> int:
     print(message, file=sys.stderr)
-    print("usage: attnops demo [--mechanism <id>] [--seed <u64>] [--n <N>] [--d <d>]",
-          file=sys.stderr)
+    print(_USAGE[command], file=sys.stderr)
     return 2
 
 
 def _cmd_demo(args) -> int:
     known = variant_ids()
     if args.mechanism not in known:
-        return _demo_usage_error(
-            f"unknown mechanism {args.mechanism!r}; choose one of {', '.join(known)}"
+        return _usage_error(
+            "demo", f"unknown mechanism {args.mechanism!r}; choose one of {', '.join(known)}"
         )
     if args.n < 1 or args.d < 1:
-        return _demo_usage_error(f"--n and --d must be >= 1, got --n {args.n} --d {args.d}")
+        return _usage_error("demo", f"--n and --d must be >= 1, got --n {args.n} --d {args.d}")
     try:
         params = vit_init(
             patch_dim=args.d,
@@ -127,6 +132,8 @@ def _cmd_demo(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.command in _USAGE and args.seed < 0:
+        return _usage_error(args.command, f"--seed must be >= 0, got {args.seed}")
     if args.command == "verify":
         return _cmd_verify(args)
     if args.command == "bench":

@@ -1,8 +1,11 @@
 """Canonical variant ids shared by the encoder, the benchmark harness, and probes.
 
 Every entry maps a string id to a forward function (AttnInputs, **options) ->
-ndarray of shape (n, d_v).  Options not listed here are forwarded to the
-underlying implementation.
+ndarray of shape (n, d_v).  The operator entries build one ``TensorOpConfig``
+from the ``side``, ``hadamard`` and ``trace_epsilon`` options, for the token
+and the channel operators alike, and forward every other option (``lam``,
+``spec``, ``normalization``) to the implementation, which rejects one it does
+not take.
 """
 
 from __future__ import annotations
@@ -11,8 +14,11 @@ import numpy as np
 
 from .attention import AttnInputs, linear_kernel_attention, softmax_attention
 from .errors import UnknownVariant
-from .expm import ExpmSpec
+# The implementations are looked up by name in VARIANTS, see below.
 from .tensor_attention import (
+    DIAG,
+    Q_SIDE,
+    ROW,
     TensorOpConfig,
     tensor_attention_elem_exp,
     tensor_attention_expm,
@@ -22,79 +28,39 @@ from .tensor_attention import (
     tensor_attention_relu,
     tensor_attention_residual,
 )
-from .tensor_interaction import InteractionConfig, tensor_interaction
+from .tensor_interaction import tensor_interaction
 
 
-def _tensor_cfg(side="q", normalization="trace", hadamard=False, trace_epsilon=None):
-    return TensorOpConfig(
-        side=side, hadamard=hadamard, normalization=normalization, trace_epsilon=trace_epsilon
-    )
+def _operator(name: str, *fixed, **defaults):
+    """The entry that calls the operator mechanism ``name`` with the caller's config.
+
+    As with ``functools.partial``, a caller who passes a ``fixed`` argument
+    again gets a TypeError, and a caller's option overrides a keyword default.
+    """
+
+    def run(inputs: AttnInputs, side=Q_SIDE, hadamard=False, trace_epsilon=None, **options):
+        cfg = TensorOpConfig(side=side, hadamard=hadamard, trace_epsilon=trace_epsilon)
+        return globals()[name](inputs, cfg, *fixed, **{**defaults, **options})
+
+    return run
 
 
-def _softmax(inputs: AttnInputs) -> np.ndarray:
-    return softmax_attention(inputs)
-
-
-def _kernel(inputs: AttnInputs, epsilon: float = 1e-12) -> np.ndarray:
-    return linear_kernel_attention(inputs, epsilon)
-
-
-def _tensor_naive(inputs, side="q", normalization="trace", hadamard=False, trace_epsilon=None):
-    return tensor_attention_naive(inputs, _tensor_cfg(side, normalization, hadamard, trace_epsilon))
-
-
-def _tensor_diag(inputs, side="q", hadamard=False, trace_epsilon=None):
-    return tensor_attention_naive(inputs, _tensor_cfg(side, "diag", hadamard, trace_epsilon))
-
-
-def _tensor_row(inputs, side="q", hadamard=False, trace_epsilon=None):
-    return tensor_attention_naive(inputs, _tensor_cfg(side, "row", hadamard, trace_epsilon))
-
-
-def _tensor_linear(inputs, side="q", trace_epsilon=None):
-    return tensor_attention_linear(inputs, side=side, trace_epsilon=trace_epsilon)
-
-
-def _tensor_relu(inputs, side="q", hadamard=False, trace_epsilon=None):
-    return tensor_attention_relu(inputs, _tensor_cfg(side, "trace", hadamard, trace_epsilon))
-
-
-def _tensor_elem_exp(inputs, side="q", hadamard=False, trace_epsilon=None):
-    return tensor_attention_elem_exp(inputs, _tensor_cfg(side, "trace", hadamard, trace_epsilon))
-
-
-def _tensor_expm(inputs, side="q", hadamard=False, trace_epsilon=None, spec: ExpmSpec = ExpmSpec()):
-    return tensor_attention_expm(inputs, _tensor_cfg(side, "trace", hadamard, trace_epsilon), spec)
-
-
-def _tensor_masked(inputs, side="q", hadamard=False, trace_epsilon=None):
-    return tensor_attention_masked(inputs, _tensor_cfg(side, "trace", hadamard, trace_epsilon))
-
-
-def _tensor_residual(inputs, side="q", lam: float = 0.5, trace_epsilon=None):
-    return tensor_attention_residual(inputs, _tensor_cfg(side, "trace", False, trace_epsilon), lam)
-
-
-def _interaction(inputs, side="q", hadamard=False, orientation="nxd", trace_epsilon=None):
-    cfg = InteractionConfig(
-        side=side, hadamard=hadamard, orientation=orientation, trace_epsilon=trace_epsilon
-    )
-    return tensor_interaction(inputs, cfg)
-
-
+# Every entry looks its implementation up on this module when it is called,
+# never binding the function object: the benchmark's tracer replaces these
+# module attributes with timing wrappers and must see every call.
 VARIANTS = {
-    "softmax": _softmax,
-    "kernel": _kernel,
-    "tensor_naive": _tensor_naive,
-    "tensor_diag": _tensor_diag,
-    "tensor_row": _tensor_row,
-    "tensor_linear": _tensor_linear,
-    "tensor_relu": _tensor_relu,
-    "tensor_elem_exp": _tensor_elem_exp,
-    "tensor_expm": _tensor_expm,
-    "tensor_masked": _tensor_masked,
-    "tensor_residual": _tensor_residual,
-    "interaction": _interaction,
+    "softmax": lambda inputs: softmax_attention(inputs),
+    "kernel": lambda inputs, epsilon=1e-12: linear_kernel_attention(inputs, epsilon),
+    "tensor_naive": _operator("tensor_attention_naive"),
+    "tensor_diag": _operator("tensor_attention_naive", DIAG),
+    "tensor_row": _operator("tensor_attention_naive", ROW),
+    "tensor_linear": _operator("tensor_attention_linear"),
+    "tensor_relu": _operator("tensor_attention_relu"),
+    "tensor_elem_exp": _operator("tensor_attention_elem_exp"),
+    "tensor_expm": _operator("tensor_attention_expm"),
+    "tensor_masked": _operator("tensor_attention_masked"),
+    "tensor_residual": _operator("tensor_attention_residual", lam=0.5),
+    "interaction": _operator("tensor_interaction"),
 }
 
 

@@ -24,8 +24,13 @@ from it:
 
 The elementwise flavor has no rank-d form (its exact factorization has rank
 d^2), so it is built from the n-by-n score matrix at O(n^2 d) and every
-variant applies it materialized.  Every
-trace, diagonal and row-sum normalizer goes through ``checked_normalizer``.
+variant applies it materialized; ``tensor_linear`` and ``tensor_residual``
+reject it.  Every variant takes ``(inputs, cfg, ...)``, where
+``TensorOpConfig`` is the one operator config, shared with the channel
+operator of ``tensor_interaction``; only ``tensor_naive`` and
+``normalized_tensor_operator`` take a ``normalization`` (trace, diag or row).
+Every trace, diagonal and row-sum normalizer goes through
+``checked_normalizer``.
 """
 
 from __future__ import annotations
@@ -52,30 +57,29 @@ _NORMALIZATIONS = (TRACE, DIAG, ROW)
 
 @dataclass(frozen=True)
 class TensorOpConfig:
-    """Which operator flavor to build and how to normalize it.
+    """Which operator flavor to build, in token space (n-by-n) or channel space (d-by-d).
 
-    ``trace_epsilon=None`` resolves to the scale-aware default 1e-12 * n at
-    call time; a normalizer below the threshold raises DegenerateNormalizer
-    instead of being silently padded.
+    ``trace_epsilon=None`` resolves to the scale-aware default 1e-12 * size at
+    call time, where size is the operator's order; a normalizer below the
+    threshold raises DegenerateNormalizer instead of being silently padded.
     """
 
     side: str = Q_SIDE
     hadamard: bool = False
-    normalization: str = TRACE
     trace_epsilon: float | None = None
 
     def __post_init__(self):
         if self.side not in _SIDES:
             raise ValueError(f"side must be one of {_SIDES}, got {self.side!r}")
-        if self.normalization not in _NORMALIZATIONS:
-            raise ValueError(
-                f"normalization must be one of {_NORMALIZATIONS}, got {self.normalization!r}"
-            )
         if self.trace_epsilon is not None and not self.trace_epsilon > 0:
             raise ValueError("trace_epsilon must be positive")
 
-    def epsilon(self, n: int) -> float:
-        return self.trace_epsilon if self.trace_epsilon is not None else 1e-12 * n
+    def epsilon(self, size: int) -> float:
+        return self.trace_epsilon if self.trace_epsilon is not None else 1e-12 * size
+
+    def trace_normalizer(self, t: np.ndarray) -> float:
+        """tr(t) of a materialized operator, once ``checked_normalizer`` accepts it."""
+        return checked_normalizer(float(np.real(np.trace(t))), self.epsilon(t.shape[0]))
 
 
 def checked_normalizer(values, eps: float, name: str = "operator trace"):
@@ -120,11 +124,13 @@ class FactoredOperator:
     gram: np.ndarray
 
     @classmethod
-    def of(cls, q: np.ndarray, k: np.ndarray, side: str = Q_SIDE) -> FactoredOperator:
-        """Factor the operator of q and k as ``conform_pair`` returns them."""
-        if side not in _SIDES:
-            raise ValueError(f"side must be one of {_SIDES}, got {side!r}")
-        w, other = (q, k) if side == Q_SIDE else (k, q)
+    def of(
+        cls, q: np.ndarray, k: np.ndarray, cfg: TensorOpConfig = TensorOpConfig()
+    ) -> FactoredOperator:
+        """Factor q and k, as ``conform_pair`` returns them, for a product flavor."""
+        if cfg.hadamard:
+            raise ValueError("the elementwise flavor has no rank-d factorization")
+        w, other = (q, k) if cfg.side == Q_SIDE else (k, q)
         return cls(w, other.conj().T @ other)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
@@ -227,7 +233,7 @@ def build_tensor_operator(q, k, cfg: TensorOpConfig = TensorOpConfig()) -> np.nd
     """
     if cfg.hadamard:
         return flavored_product(score_matrix(q, k), cfg.side, True)
-    return FactoredOperator.of(*conform_pair(q, k), cfg.side).materialize()
+    return FactoredOperator.of(*conform_pair(q, k), cfg).materialize()
 
 
 def operator_trace(q, k) -> float:
@@ -247,45 +253,48 @@ def diag_fast(q, k, side: str = Q_SIDE) -> np.ndarray:
     time; key side swaps the roles.  Entries are clamped at zero, since in
     exact arithmetic each one is a sum of squared magnitudes.
     """
-    return FactoredOperator.of(*conform_pair(q, k), side).diag()
+    return FactoredOperator.of(*conform_pair(q, k), TensorOpConfig(side=side)).diag()
 
 
-def normalized_tensor_operator(q, k, cfg: TensorOpConfig = TensorOpConfig()) -> np.ndarray:
-    """Materialized operator with the configured normalization applied.
+def normalized_tensor_operator(
+    q, k, cfg: TensorOpConfig = TensorOpConfig(), normalization: str = TRACE
+) -> np.ndarray:
+    """Materialized operator with ``normalization`` applied.
 
     Trace mode divides by tr(T); diag mode divides row i by T[i, i]; row mode
     divides row i by the row sum (T 1)[i], so a non-negative operator becomes
     row-stochastic.  Row mode orders row sums and is real-only.
     """
+    if normalization not in _NORMALIZATIONS:
+        raise ValueError(f"normalization must be one of {_NORMALIZATIONS}, got {normalization!r}")
+    if normalization == TRACE:
+        t, total = _operator_and_trace(q, k, cfg)
+        return t / total
     t = build_tensor_operator(q, k, cfg)
     eps = cfg.epsilon(t.shape[0])
-    if cfg.normalization == TRACE:
-        return t / checked_normalizer(float(np.real(np.trace(t))), eps)
-    if cfg.normalization == DIAG:
+    if normalization == DIAG:
         return t / checked_normalizer(np.real(np.diag(t)), eps, "diagonal entry")[:, None]
     require_real(np.iscomplexobj(t), "row normalization")
     return t / checked_normalizer(t.sum(axis=1), eps, "row sum")[:, None]
 
 
-def tensor_attention_naive(inputs: AttnInputs, cfg: TensorOpConfig = TensorOpConfig()) -> np.ndarray:
+def tensor_attention_naive(
+    inputs: AttnInputs, cfg: TensorOpConfig = TensorOpConfig(), normalization: str = TRACE
+) -> np.ndarray:
     """Materialize the normalized operator (O(n^2) memory) and apply it to v."""
-    out = normalized_tensor_operator(inputs.q, inputs.k, cfg) @ inputs.v
+    out = normalized_tensor_operator(inputs.q, inputs.k, cfg, normalization) @ inputs.v
     return finite_result(out, "materialized tensor attention")
 
 
-def tensor_attention_linear(
-    inputs: AttnInputs,
-    side: str = Q_SIDE,
-    trace_epsilon: float | None = None,
-) -> np.ndarray:
+def tensor_attention_linear(inputs: AttnInputs, cfg: TensorOpConfig = TensorOpConfig()) -> np.ndarray:
     """Trace-normalized tensor attention without materializing any n-by-n matrix.
 
     Fixed evaluation order: the d-by-d key Gram matrix, then the d-by-d_v
     projected values, then the single n-by-d product, scaled by the reciprocal
     of the Hadamard-sum trace.  Equal to the materialized trace-normalized
-    path up to roundoff.
+    path up to roundoff.  Product flavors only, as for ``tensor_residual``.
     """
-    op, total = _factored_and_trace(inputs, TensorOpConfig(side=side, trace_epsilon=trace_epsilon))
+    op, total = _factored_and_trace(inputs, cfg)
     return finite_result(op.apply(inputs.v) / total, "linear tensor attention")
 
 
@@ -299,7 +308,7 @@ def tensor_attention_relu(inputs: AttnInputs, cfg: TensorOpConfig = TensorOpConf
     apply it.
     """
     require_real(inputs.is_complex, "relu tensor attention")
-    t, total = _operator_and_trace(inputs, cfg)
+    t, total = _operator_and_trace(inputs.q, inputs.k, cfg)
     return finite_result((np.maximum(t, 0.0) @ inputs.v) / total, "relu tensor attention")
 
 
@@ -312,7 +321,7 @@ def tensor_attention_elem_exp(
     low-rank form, so it pays O(n^2 d) to build T and O(n^2 d_v) to apply it.
     """
     require_real(inputs.is_complex, "elementwise-exp tensor attention")
-    t, total = _operator_and_trace(inputs, cfg)
+    t, total = _operator_and_trace(inputs.q, inputs.k, cfg)
     return finite_result(np.exp(t / total) @ inputs.v, "elementwise exponential")
 
 
@@ -328,7 +337,7 @@ def tensor_attention_expm(
     elementwise flavor exponentiates the materialized n-by-n operator.
     """
     if cfg.hadamard:
-        t, total = _operator_and_trace(inputs, cfg)
+        t, total = _operator_and_trace(inputs.q, inputs.k, cfg)
         out = matrix_exponential(t / total, spec) @ inputs.v
     else:
         op, total = _factored_and_trace(inputs, cfg)
@@ -348,7 +357,7 @@ def tensor_attention_masked(
     operator.
     """
     if cfg.hadamard:
-        t, total = _operator_and_trace(inputs, cfg)
+        t, total = _operator_and_trace(inputs.q, inputs.k, cfg)
         out = np.tril(t) @ inputs.v
     else:
         op, total = _factored_and_trace(inputs, cfg)
@@ -370,22 +379,20 @@ def tensor_attention_residual(
     """
     if not 0 <= lam < np.inf:
         raise ValueError("lam must be finite and non-negative")
-    if cfg.hadamard:
-        raise ValueError("the elementwise flavor has no rank-d factorization")
-    op = FactoredOperator.of(inputs.q, inputs.k, cfg.side)
+    op = FactoredOperator.of(inputs.q, inputs.k, cfg)
     out = op.apply(inputs.v)
     if lam:
         out = out + lam * op.trace() * inputs.v
     return finite_result(out, "residual tensor attention")
 
 
-def _operator_and_trace(inputs: AttnInputs, cfg: TensorOpConfig) -> tuple[np.ndarray, float]:
+def _operator_and_trace(q, k, cfg: TensorOpConfig) -> tuple[np.ndarray, float]:
     """The materialized operator and its guarded trace normalizer."""
-    t = build_tensor_operator(inputs.q, inputs.k, cfg)
-    return t, checked_normalizer(float(np.real(np.trace(t))), cfg.epsilon(t.shape[0]))
+    t = build_tensor_operator(q, k, cfg)
+    return t, cfg.trace_normalizer(t)
 
 
 def _factored_and_trace(inputs: AttnInputs, cfg: TensorOpConfig) -> tuple[FactoredOperator, float]:
     """The product-flavor operator in factored form and its guarded trace normalizer."""
-    op = FactoredOperator.of(inputs.q, inputs.k, cfg.side)
+    op = FactoredOperator.of(inputs.q, inputs.k, cfg)
     return op, checked_normalizer(op.trace(), cfg.epsilon(inputs.n))

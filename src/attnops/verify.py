@@ -240,7 +240,7 @@ def run_verify(seed: int = 2024, negative_control: bool = False) -> VerifyReport
     for trial in range(20):
         inputs = random_inputs(16, 5, d_v=3, seed=seed + trial)
         for side in ("q", "k"):
-            fast = tensor_attention_linear(inputs, side=side)
+            fast = tensor_attention_linear(inputs, TensorOpConfig(side=side))
             slow = tensor_attention_naive(inputs, TensorOpConfig(side=side))
             dev = max(dev, np.max(np.abs(fast - slow)))
     checks.append(_result("factorized linear path equals materialized path", dev, 1e-10))
@@ -270,7 +270,7 @@ def run_verify(seed: int = 2024, negative_control: bool = False) -> VerifyReport
     for trial in range(10):
         q = np.abs(rng.standard_normal((6, 3)))
         k = np.abs(rng.standard_normal((6, 3)))
-        normalized = normalized_tensor_operator(q, k, TensorOpConfig(normalization="row"))
+        normalized = normalized_tensor_operator(q, k, normalization="row")
         dev = max(dev, np.max(np.abs(normalized.sum(axis=1) - 1.0)))
     checks.append(_result("row-normalized operator rows sum to one", dev, 1e-12))
 

@@ -55,7 +55,7 @@ def test_criterion_01_path_equivalence():
             for d in (1, 2, 4, 8, 16):
                 inputs = random_inputs(n, d, seed=seed * 10007 + n * 101 + d)
                 fast = tensor_attention_linear(inputs)
-                slow = tensor_attention_naive(inputs, TensorOpConfig(normalization="trace"))
+                slow = tensor_attention_naive(inputs, normalization="trace")
                 worst = max(worst, float(np.max(np.abs(fast - slow))))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-10 and elapsed < 30.0

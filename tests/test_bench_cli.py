@@ -250,3 +250,12 @@ class TestCli:
         assert "must be >= 1" in captured.err
         assert "usage: attnops demo" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["verify", "demo"])
+    def test_negative_seed_is_usage_error(self, command, capsys):
+        assert main([command, "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert "--seed must be >= 0, got -1" in captured.err
+        assert f"usage: attnops {command}" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""

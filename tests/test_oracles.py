@@ -165,14 +165,13 @@ class TestFdProbe:
 
 class TestFastPathsAgainstOracles:
     def test_every_tensor_normalization(self):
-        from attnops import DegenerateNormalizer, TensorOpConfig
+        from attnops import DegenerateNormalizer
 
         for seed in range(3):
             inputs = random_inputs(6, 3, seed=seed)
             for normalization in ("trace", "diag", "row"):
-                cfg = TensorOpConfig(normalization=normalization)
                 try:
-                    fast = tensor_attention_naive(inputs, cfg)
+                    fast = tensor_attention_naive(inputs, normalization=normalization)
                 except DegenerateNormalizer:
                     continue  # row sums can legitimately be negative on random data
                 slow = naive_reference(inputs, "tensor", normalization=normalization)

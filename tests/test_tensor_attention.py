@@ -77,7 +77,7 @@ class TestBuildOperator:
         with pytest.raises(ValueError):
             TensorOpConfig(side="both")
         with pytest.raises(ValueError):
-            TensorOpConfig(normalization="l2")
+            normalized_tensor_operator(Q, K, normalization="l2")
         with pytest.raises(ValueError):
             TensorOpConfig(trace_epsilon=0.0)
 
@@ -115,7 +115,7 @@ class TestFactoredOperator:
     def test_matches_materialized(self, side, complex_, n, d, d_v):
         inputs = random_inputs(n, d, d_v=d_v, seed=n + d, complex_=complex_)
         t = build_tensor_operator(inputs.q, inputs.k, TensorOpConfig(side=side))
-        op = FactoredOperator.of(inputs.q, inputs.k, side)
+        op = FactoredOperator.of(inputs.q, inputs.k, TensorOpConfig(side=side))
         np.testing.assert_allclose(op.apply(inputs.v), t @ inputs.v, atol=1e-10)
         np.testing.assert_allclose(op.trace(), np.trace(t).real, rtol=1e-12)
         np.testing.assert_allclose(op.diag(), np.diag(t).real, atol=1e-10)
@@ -129,7 +129,7 @@ class TestFactoredOperator:
         k = random_matrix(n, d, seed=n + 50, complex_=complex_)
         a = q @ k.conj().T
         expected = a @ a.conj().T if side == "q" else a.conj().T @ a
-        t = FactoredOperator.of(q, k, side).materialize()
+        t = FactoredOperator.of(q, k, TensorOpConfig(side=side)).materialize()
         np.testing.assert_allclose(t, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
         diag = np.diag(t)
         assert np.all(diag.imag == 0.0)
@@ -137,7 +137,7 @@ class TestFactoredOperator:
 
     def test_rejects_unknown_side(self):
         with pytest.raises(ValueError):
-            FactoredOperator.of(Q, K, "both")
+            FactoredOperator.of(Q, K, TensorOpConfig(side="both"))
 
 
 # (n, d, d_v): values narrower than the features, a single token, fewer tokens than features.
@@ -210,12 +210,12 @@ class TestNaivePath:
     def test_running_example_row_mode(self):
         # row sums of [[1,2],[2,5]] are 3 and 7
         expected = np.array([[1 / 3, 2 / 3], [2 / 7, 5 / 7]]) @ V
-        out = tensor_attention_naive(RUNNING, TensorOpConfig(normalization="row"))
+        out = tensor_attention_naive(RUNNING, normalization="row")
         np.testing.assert_allclose(out, expected, atol=1e-14)
 
     def test_identity_inputs_diag_and_row_modes(self):
         for mode in ("diag", "row"):
-            out = tensor_attention_naive(EYE_INPUTS, TensorOpConfig(normalization=mode))
+            out = tensor_attention_naive(EYE_INPUTS, normalization=mode)
             np.testing.assert_allclose(out, V, atol=1e-15)
 
     def test_zero_inputs_degenerate(self):
@@ -226,19 +226,19 @@ class TestNaivePath:
     def test_degenerate_diag_names_entry(self):
         q = np.array([[1.0, 0.0], [0.0, 0.0]])
         with pytest.raises(DegenerateNormalizer, match="entry 1"):
-            tensor_attention_naive(AttnInputs(q, q, V), TensorOpConfig(normalization="diag"))
+            tensor_attention_naive(AttnInputs(q, q, V), normalization="diag")
 
     def test_row_normalized_rows_sum_to_one(self):
         rng = np.random.default_rng(3)
         q = np.abs(rng.standard_normal((6, 3)))
         k = np.abs(rng.standard_normal((6, 3)))
-        normalized = normalized_tensor_operator(q, k, TensorOpConfig(normalization="row"))
+        normalized = normalized_tensor_operator(q, k, normalization="row")
         np.testing.assert_allclose(normalized.sum(axis=1), np.ones(6), atol=1e-12)
 
     def test_row_mode_rejects_complex(self):
         inputs = random_inputs(3, 2, seed=4, complex_=True)
         with pytest.raises(ComplexNotSupported):
-            tensor_attention_naive(inputs, TensorOpConfig(normalization="row"))
+            tensor_attention_naive(inputs, normalization="row")
 
 
 class TestLinearPath:
@@ -261,7 +261,7 @@ class TestLinearPath:
     def test_key_side(self):
         inputs = random_inputs(16, 4, d_v=3, seed=6)
         np.testing.assert_allclose(
-            tensor_attention_linear(inputs, side="k"),
+            tensor_attention_linear(inputs, TensorOpConfig(side="k")),
             tensor_attention_naive(inputs, TensorOpConfig(side="k")),
             atol=1e-12,
         )
@@ -281,7 +281,7 @@ class TestLinearPath:
         zeros = AttnInputs(np.zeros((3, 2)), np.zeros((3, 2)), np.ones((3, 2)))
         for eps in (0.0, -1.0):
             with pytest.raises(ValueError, match="trace_epsilon"):
-                tensor_attention_linear(zeros, trace_epsilon=eps)
+                tensor_attention_linear(zeros, TensorOpConfig(trace_epsilon=eps))
 
 
 class TestReluPath:
@@ -555,4 +555,4 @@ class TestOverflow:
     def test_overflowed_normalizer_names_entry(self):
         q = np.array([[1e160, 0.0], [1.0, 1.0]])
         with pytest.raises(NonFiniteInput, match="diagonal entry 0"):
-            tensor_attention_naive(AttnInputs(q, q, V), TensorOpConfig(normalization="diag"))
+            tensor_attention_naive(AttnInputs(q, q, V), normalization="diag")

@@ -5,7 +5,7 @@ from attnops import (
     AttnInputs,
     DegenerateNormalizer,
     DvMismatch,
-    InteractionConfig,
+    TensorOpConfig,
     build_interaction_operator,
     coupling_matrix,
     interaction_trace,
@@ -43,13 +43,13 @@ class TestBuildOperator:
                 for i in range(6):
                     b[s, t] += q[i, s] * k[i, t]
         for side, expected in (("q", b @ b.T), ("k", b.T @ b)):
-            out = build_interaction_operator(q, k, InteractionConfig(side=side))
+            out = build_interaction_operator(q, k, TensorOpConfig(side=side))
             np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_hadamard_hermitian_non_negative_diagonal(self):
         q = random_matrix(6, 3, seed=1, complex_=True)
         k = random_matrix(6, 3, seed=2, complex_=True)
-        t = build_interaction_operator(q, k, InteractionConfig(hadamard=True))
+        t = build_interaction_operator(q, k, TensorOpConfig(hadamard=True))
         np.testing.assert_allclose(t, t.conj().T, atol=1e-12)
         assert np.min(np.diag(t).real) >= 0.0
         assert np.max(np.abs(np.diag(t).imag)) < 1e-12
@@ -57,9 +57,7 @@ class TestBuildOperator:
 
 class TestTensorInteraction:
     def test_identity_inputs_as_written(self):
-        out = tensor_interaction(
-            AttnInputs(np.eye(2), np.eye(2), V), InteractionConfig(orientation="dxn")
-        )
+        out = tensor_interaction(AttnInputs(np.eye(2), np.eye(2), V)).T
         np.testing.assert_allclose(out, V.T / 2.0, atol=1e-15)
 
     def test_identity_inputs_transposed_back(self):
@@ -67,7 +65,7 @@ class TestTensorInteraction:
         np.testing.assert_allclose(out, V / 2.0, atol=1e-15)
 
     def test_hand_example(self):
-        out = tensor_interaction(AttnInputs(Q, K, V), InteractionConfig(orientation="dxn"))
+        out = tensor_interaction(AttnInputs(Q, K, V)).T
         expected = np.array([[5.0, 2.0], [2.0, 1.0]]) @ V.T / 6.0
         np.testing.assert_allclose(out, expected, atol=1e-14)
 
@@ -98,7 +96,7 @@ class TestInvariants:
             frob = float(np.sum((q.T @ k) ** 2))
             np.testing.assert_allclose(interaction_trace(q, k), frob, rtol=1e-10)
             for side in ("q", "k"):
-                t = build_interaction_operator(q, k, InteractionConfig(side=side))
+                t = build_interaction_operator(q, k, TensorOpConfig(side=side))
                 np.testing.assert_allclose(np.trace(t), frob, rtol=1e-10)
 
     def test_psd_probes(self):
