@@ -34,7 +34,7 @@ class AttnInputs:
 
     def __post_init__(self):
         q, k = conform_pair(self.q, self.k)
-        v = as_matrix(self.v, "v")
+        v = q if self.v is self.q and self.k is self.q else as_matrix(self.v, "v")
         if v.shape[0] != q.shape[0]:
             raise DimensionMismatch(f"v has {v.shape[0]} rows, expected {q.shape[0]}")
         if q.shape[0] < 1 or q.shape[1] < 1 or v.shape[1] < 1:
@@ -62,8 +62,9 @@ class AttnInputs:
 
 def conform_pair(q, k) -> tuple[np.ndarray, np.ndarray]:
     """Validate q and k as matrices of one shape, promoted to a common scalar kind."""
+    shared = k is q
     q = as_matrix(q, "q")
-    k = as_matrix(k, "k")
+    k = q if shared else as_matrix(k, "k")
     if q.shape != k.shape:
         raise DimensionMismatch(f"q {q.shape} and k {k.shape} must share both dimensions")
     common = np.result_type(q.dtype, k.dtype)

@@ -10,9 +10,12 @@ and read out the layer-normalized class token.  The mixer is any registry
 variant id (or a callable), which makes the encoder the integration vehicle
 for comparing mechanisms end to end.
 
-Allocation discipline: each elementwise stage writes into an array it
-allocated itself, never into the mixer's output, which a callable mixer may
-still hold.
+Allocation discipline: the mixer gets a layer-normed copy of the tokens and
+its output is only read, since a callable mixer may keep either.  The rest of a
+block runs over row tiles, so no n-by-hidden array exists; the last tile absorbs
+a one-row remainder, which numpy would send to gemv.  The row-local steps keep
+their bytes, and the GEMMs keep them where BLAS rounds a row tile as it rounds
+the whole matrix (OpenBLAS does at the benchmark shapes, not at all shapes).
 """
 
 from __future__ import annotations
@@ -153,14 +156,19 @@ def _into(ufunc, a: np.ndarray, b) -> np.ndarray:
         return ufunc(a, b)
 
 
-def layer_norm(x: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """Per-row normalization to mean 0 / variance 1, then affine scale and shift."""
+def _layer_norm(x: np.ndarray, scale, shift, out: np.ndarray | None = None) -> np.ndarray:
+    """``layer_norm``, with ``x - mean`` written into ``out`` (of its dtype and shape) if given."""
     mean = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
-    out = x - mean
+    out = np.subtract(x, mean, out=out)
     # var is real at mean's precision with one column: dividing in place never promotes
     np.divide(out, np.sqrt(var + LAYER_NORM_EPS), out=out)
     return _into(np.add, _into(np.multiply, out, scale), shift)
+
+
+def layer_norm(x: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """Per-row normalization to mean 0 / variance 1, then affine scale and shift."""
+    return _layer_norm(x, scale, shift)
 
 
 @functools.cache
@@ -168,6 +176,15 @@ def _gelu_dtype(dtype: np.dtype) -> np.dtype:
     """The dtype the one-line gelu formula returns for ``dtype`` input."""
     x = np.empty(0, dtype)
     return (0.5 * x * (1.0 + erf(x / _SQRT2))).dtype
+
+
+def _gelu_into(x: np.ndarray, out: np.ndarray) -> None:
+    """Write the gelu of one block ``x`` into ``out``, of gelu's dtype; ``out`` may be ``x``."""
+    half = 0.5 * x
+    np.divide(x, _SQRT2, out=out)
+    erf(out, out=out)
+    np.add(1.0, out, out=out)
+    np.multiply(half, out, out=out)
 
 
 def gelu(x) -> np.ndarray:
@@ -185,13 +202,32 @@ def gelu(x) -> np.ndarray:
     flat = x.reshape(-1)
     out = np.empty(flat.shape, _gelu_dtype(x.dtype))
     for start in range(0, flat.size, _GELU_BLOCK):
-        block = flat[start:start + _GELU_BLOCK]
-        res = out[start:start + _GELU_BLOCK]
-        np.divide(block, _SQRT2, out=res)
-        erf(res, out=res)
-        np.add(1.0, res, out=res)
-        np.multiply(0.5 * block, res, out=res)
+        _gelu_into(flat[start:start + _GELU_BLOCK], out[start:start + _GELU_BLOCK])
     return out.reshape(x.shape) if x.ndim else out[0]
+
+
+def _mlp_half(tokens: np.ndarray, mixed: np.ndarray, b: BlockParams) -> np.ndarray:
+    """``tokens + mixed`` plus the MLP of its LN2, tile by tile; buffers get each step's dtype."""
+    tokens = tokens.astype(np.result_type(mixed, tokens), copy=False)  # the forward's own array
+    n, width = tokens.shape
+    tile = max(2, _GELU_BLOCK // max(1, b.mlp_w1.shape[1]))
+    hidden_type = np.result_type(tokens, b.ln2_scale, b.ln2_shift, b.mlp_w1)
+    out_type = np.result_type(hidden_type, b.mlp_b1, b.mlp_w2)  # gelu keeps a float64+ dtype
+    # one tile each, with room for a last tile that absorbs a one-row remainder
+    ln_buf, hidden_buf, out_buf = (np.empty((min(n, tile + 1), cols), dtype) for cols, dtype in (
+        (width, tokens.dtype), (b.mlp_w1.shape[1], hidden_type), (b.mlp_w2.shape[1], out_type)))
+    result_type = np.result_type(out_type, b.mlp_b2)
+    result = tokens if result_type == tokens.dtype else np.empty(tokens.shape, result_type)
+    bounds = [0, *range(tile, n - 1, tile), n]
+    for start, stop in zip(bounds, bounds[1:]):
+        x, rows = tokens[start:stop], stop - start
+        np.add(x, mixed[start:stop], out=x)
+        normed = _layer_norm(x, b.ln2_scale, b.ln2_shift, ln_buf[:rows])
+        hidden = _into(np.add, np.matmul(normed, b.mlp_w1, out=hidden_buf[:rows]), b.mlp_b1)
+        _gelu_into(hidden, hidden)
+        out = _into(np.add, np.matmul(hidden, b.mlp_w2, out=out_buf[:rows]), b.mlp_b2)
+        np.add(x, out, out=result[start:stop])
+    return result
 
 
 def vit_forward(params: ViTParams, patches) -> np.ndarray:
@@ -216,9 +252,5 @@ def vit_forward(params: ViTParams, patches) -> np.ndarray:
             raise DimensionMismatch(
                 f"mixer returned shape {mixed.shape}, expected {tokens.shape}"
             )
-        tokens = mixed + tokens  # a new array: the mixer may still hold ``mixed``
-        normed = layer_norm(tokens, block.ln2_scale, block.ln2_shift)
-        hidden = _into(np.add, normed @ block.mlp_w1, block.mlp_b1)
-        out = _into(np.add, gelu(hidden) @ block.mlp_w2, block.mlp_b2)
-        tokens = _into(np.add, out, tokens)
+        tokens = _mlp_half(tokens, mixed, block)
     return layer_norm(tokens[:1], params.head_scale, params.head_shift)[0]

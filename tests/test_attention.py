@@ -7,6 +7,7 @@ from attnops import (
     DegenerateDenominator,
     DimensionMismatch,
     MultiHeadSpec,
+    NonFiniteInput,
     kernel_feature_map,
     linear_kernel_attention,
     multi_head,
@@ -15,6 +16,7 @@ from attnops import (
     random_multi_head_spec,
     softmax_attention,
 )
+from attnops import attention as attention_module
 
 
 class TestAttnInputs:
@@ -33,6 +35,36 @@ class TestAttnInputs:
         inputs = AttnInputs(np.ones((2, 2)), np.ones((2, 2)) * 1j, np.ones((2, 2)))
         assert inputs.q.dtype == np.complex128
         assert inputs.k.dtype == np.complex128
+
+    def test_an_array_in_several_roles_is_validated_once(self, monkeypatch):
+        names = []
+        validate = attention_module.as_matrix
+
+        def counting(a, name):
+            names.append(name)
+            return validate(a, name)
+
+        monkeypatch.setattr(attention_module, "as_matrix", counting)
+        x = np.arange(6.0, dtype=np.float32).reshape(3, 2)
+        inputs = AttnInputs(x, x, x)
+        assert names == ["q"]
+        assert inputs.q is inputs.k is inputs.v
+        assert inputs.q.dtype == np.float64
+        for q, k, v, expected in (
+            (x, x, x.copy(), ["q", "v"]),
+            (x, x.copy(), x, ["q", "k", "v"]),
+            (x, x * 1j, x, ["q", "k", "v"]),  # v keeps its own real dtype
+        ):
+            names.clear()
+            inputs = AttnInputs(q, k, v)
+            assert names == expected
+            assert inputs.v.dtype == np.float64
+
+    def test_non_finite_shared_array_is_reported_as_q(self):
+        x = np.ones((3, 2))
+        x[1, 1] = np.nan
+        with pytest.raises(NonFiniteInput, match="^q contains"):
+            AttnInputs(x, x, x)
 
 
 class TestSoftmaxAttention:

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -48,6 +50,38 @@ def reference_forward(params, patches):
         hidden = reference_gelu(normed @ block.mlp_w1 + block.mlp_b1)
         tokens = (hidden @ block.mlp_w2 + block.mlp_b2) + tokens
     return reference_layer_norm(tokens[:1], params.head_scale, params.head_shift)[0]
+
+
+# At this hidden width the MLP runs over tiles of TILE rows (the rule in ``vit._mlp_half``).
+HIDDEN = 128
+TILE = max(2, vit_module._GELU_BLOCK // HIDDEN)
+# One patch, a single partial tile, either side of one tile (TILE + 1 leaves a one-row
+# remainder for the last tile to absorb), and two tiles plus that remainder.
+TOKEN_COUNTS = (2, 10, TILE - 1, TILE, TILE + 1, 2 * TILE + 1)
+
+
+def _recast_blocks(params, cast, *fields):
+    blocks = tuple(
+        dataclasses.replace(b, **{f: cast(getattr(b, f)) for f in fields}) for b in params.blocks
+    )
+    return dataclasses.replace(params, blocks=blocks)
+
+
+def _to_complex(a):
+    return a * (1.0 - 0.5j)
+
+
+# Parameter changes that promote the dtype of the forward pass at different steps.
+PROMOTIONS = {
+    "float32 mlp": lambda p: _recast_blocks(
+        p, lambda a: a.astype(np.float32), "mlp_w1", "mlp_b1", "mlp_w2", "mlp_b2"),
+    "complex patch_embed": lambda p: dataclasses.replace(p, patch_embed=_to_complex(p.patch_embed)),
+    "complex mixer": lambda p: dataclasses.replace(
+        p, mechanism=lambda attn: _to_complex(forward("tensor_linear", attn))),
+    "complex ln2_scale": lambda p: _recast_blocks(p, _to_complex, "ln2_scale"),
+    "complex mlp_b1": lambda p: _recast_blocks(p, _to_complex, "mlp_b1"),
+    "complex mlp_w2": lambda p: _recast_blocks(p, _to_complex, "mlp_w2"),
+}
 
 
 def assert_same_bytes(got, expected):
@@ -152,10 +186,11 @@ class TestForward:
                 continue  # a legitimate reported degeneracy, not a NaN
             assert np.all(np.isfinite(out)), mechanism
 
+    @pytest.mark.parametrize("tokens", TOKEN_COUNTS)
     @pytest.mark.parametrize("mechanism", variant_ids())
-    def test_bytes_match_the_reference_forward(self, mechanism):
-        params = vit_init(6, 8, 32, 9, 2, seed=8, mechanism=mechanism)
-        patches = random_matrix(9, 6, seed=8)
+    def test_bytes_match_the_reference_forward(self, mechanism, tokens):
+        params = vit_init(6, 8, HIDDEN, tokens - 1, 2, seed=8, mechanism=mechanism)
+        patches = random_matrix(tokens - 1, 6, seed=8)
         try:
             expected = reference_forward(params, patches)
         except AttnOpsError as exc:
@@ -173,6 +208,74 @@ class TestForward:
         out = vit_forward(params, patches)
         np.testing.assert_array_equal(held, kept)
         assert_same_bytes(out, reference_forward(params, patches))
+
+    @pytest.mark.parametrize("promotion", list(PROMOTIONS))
+    def test_promoting_parameters_keep_the_reference_bytes(self, promotion):
+        """Each promotion the whole-array expressions make happens at the same step."""
+        tokens = 2 * TILE + 1
+        params = vit_init(6, 8, HIDDEN, tokens - 1, 2, seed=15, mechanism="tensor_linear")
+        params = PROMOTIONS[promotion](params)
+        patches = random_matrix(tokens - 1, 6, seed=15)
+        expected = reference_forward(params, patches)
+        assert expected.dtype == (np.float64 if promotion == "float32 mlp" else np.complex128)
+        assert_same_bytes(vit_forward(params, patches), expected)
+
+    def test_an_mlp_without_hidden_units_still_runs(self):
+        params = vit_init(6, 8, 1, 300, 2, seed=19, mechanism="tensor_linear")
+        blocks = tuple(
+            dataclasses.replace(b, mlp_w1=b.mlp_w1[:, :0], mlp_b1=b.mlp_b1[:0], mlp_w2=b.mlp_w2[:0])
+            for b in params.blocks
+        )
+        params = dataclasses.replace(params, blocks=blocks)
+        patches = random_matrix(300, 6, seed=19)
+        assert_same_bytes(vit_forward(params, patches), reference_forward(params, patches))
+
+    def test_tiles_stay_within_rounding_where_the_blas_splits_differently(self):
+        """At some shapes a row tile's GEMM rounds unlike the whole product; bound the drift.
+
+        With OpenBLAS at width 4 and n = 1025 the tiled forward differs from the
+        whole-array one in the last bits (measured under 1e-15 relative).
+        """
+        params = vit_init(6, 4, 256, 1024, 2, seed=18, mechanism="tensor_linear")
+        patches = random_matrix(1024, 6, seed=18)
+        expected = reference_forward(params, patches)
+        got = vit_forward(params, patches)
+        assert np.max(np.abs(got - expected)) <= 64 * np.finfo(float).eps * np.max(np.abs(expected))
+
+    def test_mixer_inputs_are_not_written_into(self):
+        """A callable mixer may keep its inputs; the forward pass must not touch them."""
+        kept = []
+
+        def keeping(attn):
+            kept.append([(a, a.copy()) for a in (attn.q, attn.k, attn.v)])
+            return forward("tensor_linear", attn)
+
+        tokens = 2 * TILE + 1
+        params = vit_init(6, 8, HIDDEN, tokens - 1, 3, seed=16, mechanism=keeping)
+        patches = random_matrix(tokens - 1, 6, seed=16)
+        out = vit_forward(params, patches)
+        assert len(kept) == params.depth
+        for block in kept:
+            for held, copy in block:
+                np.testing.assert_array_equal(held, copy)
+        assert_same_bytes(out, reference_forward(params, patches))
+
+    def test_mlp_activation_is_never_whole(self):
+        """Quadrupling hidden adds less than one n-by-(added hidden) array to the traced peak."""
+        n_patches, small, large = 1024, 128, 512
+        patches = random_matrix(n_patches, 6, seed=17)
+        peaks = []
+        for hidden in (small, large):
+            params = vit_init(6, 16, hidden, n_patches, 1, seed=17, mechanism="tensor_linear")
+            vit_forward(params, patches)  # fill lazy caches before tracing
+            tracemalloc.start()
+            try:
+                vit_forward(params, patches)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        whole = (n_patches + 1) * (large - small) * np.dtype(np.float64).itemsize
+        assert peaks[1] - peaks[0] < whole
 
     def test_softmax_and_tensor_mechanisms_coexist(self):
         patches = random_matrix(4, 6, seed=6)
