@@ -427,12 +427,15 @@ def run_verify(seed: int = 2024, negative_control: bool = False) -> VerifyReport
         normed = loop_layer_norm(tokens, b.ln2_scale, b.ln2_shift, LAYER_NORM_EPS)
         tokens = loop_gelu(normed @ b.mlp_w1 + b.mlp_b1) @ b.mlp_w2 + b.mlp_b2 + tokens
     slow = loop_layer_norm(tokens[:1], params.head_scale, params.head_shift, LAYER_NORM_EPS)[0]
-    y1, y2 = vit_forward(params, patches), vit_forward(params, patches)
-    dev = np.max(np.abs(y1 - slow)) / np.max(np.abs(slow))
+    dev = np.max(np.abs(vit_forward(params, patches) - slow)) / np.max(np.abs(slow))
     checks.append(_result("row-tiled encoder forward equals the loop-oracle forward", dev, 1e-12,
                           detail="relative to the largest entry"))
 
-    # encoder smoke on the same forward: deterministic and finite
+    # encoder smoke: deterministic and finite
+    params = vit_init(6, 8, 16, 4, 2, seed=seed, mechanism="tensor_linear")
+    patches = random_matrix(4, 6, seed=seed + 800)
+    y1 = vit_forward(params, patches)
+    y2 = vit_forward(params, patches)
     dev = 0.0 if (np.array_equal(y1, y2) and np.all(np.isfinite(y1))) else 1.0
     checks.append(_result("encoder forward is reproducible and finite", dev, 1e-300,
                           detail="bitwise reproducibility"))

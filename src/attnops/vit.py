@@ -221,11 +221,14 @@ def _mlp_half(tokens: np.ndarray, mixed: np.ndarray, b: BlockParams) -> np.ndarr
     bounds = [0, *range(tile, n - 1, tile), n]
     for start, stop in zip(bounds, bounds[1:]):
         x, rows = tokens[start:stop], stop - start
+        # a parameter with a row per token is broadcast tile by tile, as the whole array was
+        scale, shift, b1, b2 = (p[start:stop] if np.ndim(p) == 2 and len(p) == n else p
+                                for p in (b.ln2_scale, b.ln2_shift, b.mlp_b1, b.mlp_b2))
         np.add(x, mixed[start:stop], out=x)
-        normed = _layer_norm(x, b.ln2_scale, b.ln2_shift, ln_buf[:rows])
-        hidden = _into(np.add, np.matmul(normed, b.mlp_w1, out=hidden_buf[:rows]), b.mlp_b1)
+        normed = _layer_norm(x, scale, shift, ln_buf[:rows])
+        hidden = _into(np.add, np.matmul(normed, b.mlp_w1, out=hidden_buf[:rows]), b1)
         _gelu_into(hidden, hidden)
-        out = _into(np.add, np.matmul(hidden, b.mlp_w2, out=out_buf[:rows]), b.mlp_b2)
+        out = _into(np.add, np.matmul(hidden, b.mlp_w2, out=out_buf[:rows]), b2)
         np.add(x, out, out=result[start:stop])
     return result
 
