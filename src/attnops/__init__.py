@@ -9,11 +9,7 @@ verification/benchmark harness exposed through the ``attnops`` CLI.
 
 from .attention import (
     AttnInputs,
-    MultiHeadSpec,
-    kernel_feature_map,
     linear_kernel_attention,
-    multi_head,
-    random_multi_head_spec,
     row_softmax,
     softmax_attention,
 )
@@ -33,7 +29,6 @@ from .dense import (
     as_square,
     as_vector,
     gemm,
-    hadamard,
     kron,
     partial_trace,
     trace,
@@ -65,7 +60,6 @@ from .oracles import (
     fd_probe,
     kron_vec_check,
     naive_reference,
-    naive_variant_ids,
     trace_identity_report,
 )
 from .registry import forward, variant_ids

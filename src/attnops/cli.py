@@ -65,10 +65,7 @@ def _cmd_bench(args) -> int:
     try:
         with open(args.config, encoding="utf-8") as fh:
             config = parse_config_text(fh.read(), overrides)
-    except OSError as exc:
-        print(f"config: {exc}", file=sys.stderr)
-        return 2
-    except AttnOpsError as exc:
+    except (AttnOpsError, OSError) as exc:  # OSError: the config file cannot be read
         print(f"config: {exc}", file=sys.stderr)
         return 2
     try:

@@ -1,4 +1,4 @@
-"""Dense matrix primitives: products, Hadamard, trace, Kronecker, vec, partial trace.
+"""Dense matrix primitives: validation, products, trace, Kronecker, vec, partial trace.
 
 Scalars are float64 or complex128; anything else is promoted on entry.  Every
 public operation validates shapes and finiteness before computing, never
@@ -26,10 +26,7 @@ def as_matrix(a, name: str = "operand") -> np.ndarray:
     arr = np.asarray(a)
     if arr.ndim != 2:
         raise DimensionMismatch(f"{name}: expected a 2-D array, got shape {arr.shape}")
-    if arr.size and not np.all(np.isfinite(arr)):
-        raise NonFiniteInput(f"{name} contains NaN or Inf")
-    kind = COMPLEX if np.iscomplexobj(arr) else REAL
-    return np.ascontiguousarray(arr, dtype=kind)
+    return _finite_contiguous(arr, name)
 
 
 def as_vector(x, name: str = "vector") -> np.ndarray:
@@ -39,6 +36,10 @@ def as_vector(x, name: str = "vector") -> np.ndarray:
         arr = arr.reshape(-1)
     if arr.ndim != 1:
         raise DimensionMismatch(f"{name}: expected a 1-D array, got shape {arr.shape}")
+    return _finite_contiguous(arr, name)
+
+
+def _finite_contiguous(arr: np.ndarray, name: str) -> np.ndarray:
     if arr.size and not np.all(np.isfinite(arr)):
         raise NonFiniteInput(f"{name} contains NaN or Inf")
     kind = COMPLEX if np.iscomplexobj(arr) else REAL
@@ -59,30 +60,20 @@ def finite_result(out: np.ndarray, op: str) -> np.ndarray:
     return out
 
 
-def gemm(a, b, trans_a: bool = False, trans_b: bool = False) -> np.ndarray:
-    """Matrix product with optional conjugate transposition of either operand.
+def gemm(a, b, *, trans_b: bool = False) -> np.ndarray:
+    """Matrix product a b, or a b^H with ``trans_b``.
 
-    For real operands the conjugate transpose reduces to the plain transpose.
+    For a real ``b`` the conjugate transpose reduces to the plain transpose.
     """
     a = as_matrix(a, "a")
     b = as_matrix(b, "b")
-    left = a.conj().T if trans_a else a
     right = b.conj().T if trans_b else b
-    if left.shape[1] != right.shape[0]:
-        flagged = " (after transposition)" if trans_a or trans_b else ""
+    if a.shape[1] != right.shape[0]:
+        flagged = " (after transposition)" if trans_b else ""
         raise DimensionMismatch(
-            f"inner dimensions disagree: {left.shape} x {right.shape}{flagged}"
+            f"inner dimensions disagree: {a.shape} x {right.shape}{flagged}"
         )
-    return finite_result(left @ right, "gemm")
-
-
-def hadamard(a, b) -> np.ndarray:
-    """Entrywise product; operands must have identical shapes."""
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"shapes differ: {a.shape} vs {b.shape}")
-    return finite_result(a * b, "hadamard")
+    return finite_result(a @ right, "gemm")
 
 
 def trace(a):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import AttnInputs, MultiHeadSpec
+from .attention import AttnInputs
 from .dense import as_matrix, as_vector, vectorize
 from .errors import (
     ComplexNotSupported,
@@ -336,10 +336,6 @@ def _naive_kernel(inputs: AttnInputs, epsilon: float = 1e-12) -> np.ndarray:
     return out
 
 
-def _apply_operator(t: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return _loop_matmul(t, v)
-
-
 def _naive_tensor(
     inputs: AttnInputs,
     side: str = "q",
@@ -347,7 +343,7 @@ def _naive_tensor(
     hadamard: bool = False,
 ) -> np.ndarray:
     t = _loop_operator(inputs.q, inputs.k, side=side, hadamard=hadamard)
-    return _apply_operator(_normalize_operator(t, normalization), inputs.v)
+    return _loop_matmul(_normalize_operator(t, normalization), inputs.v)
 
 
 def _naive_relu(inputs: AttnInputs, side: str = "q", hadamard: bool = False) -> np.ndarray:
@@ -360,7 +356,7 @@ def _naive_relu(inputs: AttnInputs, side: str = "q", hadamard: bool = False) -> 
     for i in range(n):
         for j in range(n):
             clamped[i, j] = t[i, j] if t[i, j] > 0 else 0.0
-    return _apply_operator(clamped, inputs.v) / total
+    return _loop_matmul(clamped, inputs.v) / total
 
 
 def _naive_elem_exp(inputs: AttnInputs, side: str = "q", hadamard: bool = False) -> np.ndarray:
@@ -370,7 +366,7 @@ def _naive_elem_exp(inputs: AttnInputs, side: str = "q", hadamard: bool = False)
     for i in range(n):
         for j in range(n):
             kernel[i, j] = math.exp(float(t[i, j]))
-    return _apply_operator(kernel, inputs.v)
+    return _loop_matmul(kernel, inputs.v)
 
 
 def _naive_expm(
@@ -385,7 +381,7 @@ def _naive_expm(
         power = _loop_matmul(power, t_hat)
         factorial *= k
         acc = acc + power / factorial
-    return _apply_operator(acc, inputs.v)
+    return _loop_matmul(acc, inputs.v)
 
 
 def _naive_masked(inputs: AttnInputs, side: str = "q", hadamard: bool = False) -> np.ndarray:
@@ -398,7 +394,7 @@ def _naive_masked(inputs: AttnInputs, side: str = "q", hadamard: bool = False) -
     for i in range(n):
         for j in range(i + 1):
             masked[i, j] = t[i, j]
-    return _apply_operator(masked, inputs.v) / total
+    return _loop_matmul(masked, inputs.v) / total
 
 
 def _naive_residual(
@@ -410,15 +406,10 @@ def _naive_residual(
     shifted = t.astype(t.dtype, copy=True)
     for i in range(n):
         shifted[i, i] = shifted[i, i] + lam * total
-    return _apply_operator(shifted, inputs.v)
+    return _loop_matmul(shifted, inputs.v)
 
 
-def _naive_interaction(
-    inputs: AttnInputs,
-    side: str = "q",
-    hadamard: bool = False,
-    orientation: str = "nxd",
-) -> np.ndarray:
+def _naive_interaction(inputs: AttnInputs, side: str = "q", hadamard: bool = False) -> np.ndarray:
     q, k, v = inputs.q, inputs.k, inputs.v
     n, d = q.shape
     if v.shape[1] != d:
@@ -446,35 +437,14 @@ def _naive_interaction(
     total = _loop_trace(op)
     if total <= 0:
         raise DegenerateNormalizer("oracle interaction trace is not positive")
-    out = np.zeros((d, n), dtype=np.result_type(op, v))
-    for s in range(d):
-        for i in range(n):
+    out = np.zeros((n, d), dtype=np.result_type(op, v))
+    for i in range(n):
+        for s in range(d):
             acc = 0
             for t in range(d):
                 acc += op[s, t] * v[i, t]
-            out[s, i] = acc / total
-    if orientation == "dxn":
-        return out
-    return np.ascontiguousarray(out.T)
-
-
-def _naive_multi_head(inputs: AttnInputs, spec: MultiHeadSpec) -> np.ndarray:
-    q, k, v = inputs.q, inputs.k, inputs.v
-    heads = []
-    for wq, wk, wv in zip(spec.w_q, spec.w_k, spec.w_v):
-        heads.append(
-            spec.mechanism(
-                AttnInputs(_loop_matmul(q, wq), _loop_matmul(k, wk), _loop_matmul(v, wv))
-            )
-        )
-    n = q.shape[0]
-    width = heads[0].shape[1]
-    stacked = np.zeros((n, width * len(heads)))
-    for h, head in enumerate(heads):
-        for i in range(n):
-            for c in range(width):
-                stacked[i, h * width + c] = head[i, c]
-    return _loop_matmul(stacked, spec.w_o)
+            out[i, s] = acc / total
+    return out
 
 
 _NAIVE = {
@@ -487,7 +457,6 @@ _NAIVE = {
     "tensor_masked": _naive_masked,
     "tensor_residual": _naive_residual,
     "interaction": _naive_interaction,
-    "multi_head": _naive_multi_head,
 }
 
 
@@ -507,10 +476,6 @@ def naive_reference(inputs: AttnInputs, variant: str, **options) -> np.ndarray:
             f"unknown variant {variant!r}; expected one of {sorted(_NAIVE)}"
         ) from None
     return reference(inputs, **options)
-
-
-def naive_variant_ids() -> tuple[str, ...]:
-    return tuple(sorted(_NAIVE))
 
 
 # ---------------------------------------------------------------------------

@@ -373,12 +373,16 @@ def tensor_attention_residual(
     """(T + lam * tr(T) * I) v, evaluated in the factorized linear-time form.
 
     Unnormalized by design, so large inputs can overflow; that raises
-    NonFiniteInput.  The factorization used is the rank-d one of the product
-    flavors.  The elementwise flavor is rejected: it does factor, but only at
-    rank d^2 (Khatri-Rao rows q_i kron k_i), which this path does not build.
+    NonFiniteInput.  With no normalizer to guard, a ``cfg.trace_epsilon`` is
+    rejected rather than ignored.  The factorization used is the rank-d one of
+    the product flavors.  The elementwise flavor is rejected: it does factor,
+    but only at rank d^2 (Khatri-Rao rows q_i kron k_i), which this path does
+    not build.
     """
     if not 0 <= lam < np.inf:
         raise ValueError("lam must be finite and non-negative")
+    if cfg.trace_epsilon is not None:
+        raise ValueError("trace_epsilon does not apply: residual tensor attention is unnormalized")
     op = FactoredOperator.of(inputs.q, inputs.k, cfg)
     out = op.apply(inputs.v)
     if lam:

@@ -6,14 +6,10 @@ from attnops import (
     ComplexNotSupported,
     DegenerateDenominator,
     DimensionMismatch,
-    MultiHeadSpec,
     NonFiniteInput,
-    kernel_feature_map,
     linear_kernel_attention,
-    multi_head,
     naive_reference,
     random_inputs,
-    random_multi_head_spec,
     softmax_attention,
 )
 from attnops import attention as attention_module
@@ -125,31 +121,21 @@ class TestSoftmaxAttention:
             softmax_attention(inputs)
 
 
-class TestKernelFeatureMap:
-    def test_parallel_unit_vectors(self):
-        phi_q = kernel_feature_map([1.0, 0.0])
-        phi_k = kernel_feature_map([1.0, 0.0])
-        assert abs(phi_q @ phi_k - 2.0) < 1e-15
-
-    def test_orthogonal(self):
-        assert abs(kernel_feature_map([1.0, 0.0]) @ kernel_feature_map([0.0, 1.0]) - 1.0) < 1e-15
-
-    def test_antipodal(self):
-        assert abs(kernel_feature_map([1.0, 0.0]) @ kernel_feature_map([-1.0, 0.0])) < 1e-15
-
-    def test_zero_vector_guard(self):
-        np.testing.assert_array_equal(kernel_feature_map([0.0, 0.0]), [1.0, 0.0, 0.0])
-
-    def test_feature_length(self):
-        assert kernel_feature_map(np.ones(5)).shape == (6,)
-
-
 class TestLinearKernelAttention:
     def test_identical_tokens_average_values(self):
         v = np.array([[1.0, 2.0], [3.0, 4.0]])
         same = np.tile([1.0, 0.0], (2, 1))
         out = linear_kernel_attention(AttnInputs(same, same, v))
         np.testing.assert_allclose(out, [[2.0, 3.0], [2.0, 3.0]], atol=1e-12)
+
+    def test_zero_query_row_averages_values(self):
+        # The epsilon guard maps a zero row to the constant feature alone, so
+        # every key gets the same weight.
+        inputs = random_inputs(5, 3, d_v=2, seed=12)
+        q = inputs.q.copy()
+        q[2] = 0.0
+        out = linear_kernel_attention(AttnInputs(q, inputs.k, inputs.v))
+        np.testing.assert_allclose(out[2], inputs.v.mean(axis=0), atol=1e-14)
 
     def test_single_token(self):
         inputs = random_inputs(1, 3, d_v=2, seed=6)
@@ -179,41 +165,3 @@ class TestLinearKernelAttention:
         out = linear_kernel_attention(inputs)
         assert np.all(out <= inputs.v.max(axis=0) + 1e-12)
         assert np.all(out >= inputs.v.min(axis=0) - 1e-12)
-
-
-class TestMultiHead:
-    def test_single_identity_head_reduces_to_mechanism(self):
-        d = 4
-        spec = MultiHeadSpec(
-            w_q=(np.eye(d),), w_k=(np.eye(d),), w_v=(np.eye(d),), w_o=np.eye(d)
-        )
-        inputs = random_inputs(5, d, seed=9)
-        np.testing.assert_allclose(
-            multi_head(inputs, spec), softmax_attention(inputs), atol=1e-14
-        )
-
-    def test_zero_output_projection(self):
-        spec = random_multi_head_spec(4, h=2, seed=10)
-        zeroed = MultiHeadSpec(w_q=spec.w_q, w_k=spec.w_k, w_v=spec.w_v, w_o=np.zeros((4, 4)))
-        inputs = random_inputs(3, 4, seed=10)
-        np.testing.assert_array_equal(multi_head(inputs, zeroed), np.zeros((3, 4)))
-
-    def test_matches_per_head_loop_oracle(self):
-        spec = random_multi_head_spec(4, h=2, seed=11)
-        inputs = random_inputs(5, 4, seed=11)
-        np.testing.assert_allclose(
-            multi_head(inputs, spec),
-            naive_reference(inputs, "multi_head", spec=spec),
-            atol=1e-12,
-        )
-
-    def test_head_split_validation(self):
-        with pytest.raises(DimensionMismatch):
-            MultiHeadSpec(
-                w_q=(np.ones((4, 3)),),
-                w_k=(np.ones((4, 3)),),
-                w_v=(np.ones((4, 3)),),
-                w_o=np.eye(4),
-            )
-        with pytest.raises(DimensionMismatch):
-            random_multi_head_spec(6, h=4)

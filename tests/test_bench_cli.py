@@ -205,6 +205,10 @@ class TestCli:
             main(["bench"])
         assert exc.value.code == 2
 
+    def test_bench_nonexistent_config_path_exits_two(self, tmp_path, capsys):
+        assert main(["bench", "--config", str(tmp_path / "absent.cfg")]) == 2
+        assert capsys.readouterr().err.startswith("config:")
+
     def test_bench_bad_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "bench.cfg"
         cfg.write_text("variants=warp\nn_values=8\n")

@@ -9,7 +9,6 @@ from attnops import (
     NonFiniteInput,
     NotSquare,
     gemm,
-    hadamard,
     kron,
     partial_trace,
     trace,
@@ -63,28 +62,6 @@ class TestGemm:
         bad = np.array([[np.nan, 0.0], [0.0, 1.0]])
         with pytest.raises(NonFiniteInput):
             gemm(bad, I2)
-
-
-class TestHadamard:
-    def test_identity(self):
-        np.testing.assert_array_equal(hadamard(I2, I2), I2)
-
-    def test_hand_example(self):
-        a = np.array([[1.0, 0.0], [2.0, 1.0]])
-        b = np.array([[1.0, 2.0], [0.0, 1.0]])
-        expected = np.array([[1.0, 0.0], [0.0, 1.0]])
-        np.testing.assert_array_equal(hadamard(a, b), expected)
-        for i in range(2):
-            for j in range(2):
-                assert hadamard(a, b)[i, j] == a[i, j] * b[i, j]
-
-    def test_zero_annihilates(self):
-        a = np.arange(4.0).reshape(2, 2)
-        np.testing.assert_array_equal(hadamard(a, np.zeros((2, 2))), np.zeros((2, 2)))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            hadamard(np.ones((2, 2)), np.ones((2, 3)))
 
 
 class TestTrace:
@@ -193,7 +170,7 @@ def test_trace_is_cyclic(a, b):
 @given(a=_finite_arrays(4, 4), b=_finite_arrays(4, 4))
 def test_trace_of_product_is_hadamard_sum_with_transpose(a, b):
     lhs = trace(gemm(a, b))
-    rhs = float(np.sum(hadamard(a, b.T)))
+    rhs = float(np.sum(a * b.T))
     assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
 
 

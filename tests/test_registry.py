@@ -111,6 +111,13 @@ class TestOptionsRejected:
         with pytest.raises(ValueError, match="side"):
             forward("tensor_naive", nonneg_inputs(), side="both")
 
+    def test_residual_rejects_trace_epsilon(self):
+        inputs = nonneg_inputs()
+        with pytest.raises(ValueError, match="trace_epsilon"):
+            forward("tensor_residual", inputs, trace_epsilon=1e300)
+        with pytest.raises(ValueError, match="trace_epsilon"):
+            tensor_attention_residual(inputs, TensorOpConfig(trace_epsilon=1e-9), lam=0.5)
+
 
 class TestOptionsForwarded:
     @pytest.mark.parametrize("cfg", CONFIGS)
@@ -137,10 +144,11 @@ class TestOptionsForwarded:
         assert_same_bytes(
             forward("tensor_linear", inputs, **options(cfg)), tensor_attention_linear(inputs, cfg)
         )
-        assert_same_bytes(
-            forward("tensor_residual", inputs, **options(cfg)),
-            tensor_attention_residual(inputs, cfg, lam=0.5),
-        )
+        if cfg.trace_epsilon is None:  # the unnormalized residual rejects trace_epsilon
+            assert_same_bytes(
+                forward("tensor_residual", inputs, **options(cfg)),
+                tensor_attention_residual(inputs, cfg, lam=0.5),
+            )
 
     @pytest.mark.parametrize(
         "variant", sorted(set(IMPLEMENTATIONS) - {"softmax", "kernel", "tensor_residual"})
