@@ -10,6 +10,7 @@ from attnops import (
     linear_kernel_attention,
     naive_reference,
     random_inputs,
+    random_matrix,
     softmax_attention,
 )
 from attnops import attention as attention_module
@@ -128,6 +129,38 @@ class TestLinearKernelAttention:
         out = linear_kernel_attention(AttnInputs(same, same, v))
         np.testing.assert_allclose(out, [[2.0, 3.0], [2.0, 3.0]], atol=1e-12)
 
+    def test_parallel_key_weighs_twice_an_orthogonal_one(self):
+        # phi(q) . phi(k) = 1 + cos(q, k): 2 for a parallel key, 1 for an orthogonal one.
+        q = np.tile([3.0, 0.0], (2, 1))
+        k = np.array([[0.5, 0.0], [0.0, 4.0]])
+        out = linear_kernel_attention(AttnInputs(q, k, np.array([[1.0], [0.0]])))
+        np.testing.assert_allclose(out, [[2.0 / 3.0], [2.0 / 3.0]], atol=1e-15)
+
+    def test_antipodal_key_gets_no_weight(self):
+        q = np.tile([1.0, 0.0], (2, 1))
+        k = np.array([[2.0, 0.0], [-1.0, 0.0]])
+        out = linear_kernel_attention(AttnInputs(q, k, np.array([[1.0], [5.0]])))
+        np.testing.assert_allclose(out, [[1.0], [1.0]], atol=1e-15)
+
+    def test_positive_row_scaling_leaves_output_unchanged(self):
+        inputs = random_inputs(6, 3, d_v=2, seed=13)
+        scales = np.random.default_rng(13).uniform(0.1, 10.0, size=(6, 1))
+        scaled = AttnInputs(inputs.q * scales, inputs.k / scales, inputs.v)
+        np.testing.assert_allclose(
+            linear_kernel_attention(scaled), linear_kernel_attention(inputs), atol=1e-13
+        )
+
+    def test_rejects_non_positive_epsilon(self):
+        inputs = random_inputs(3, 2, seed=14)
+        for epsilon in (0.0, -1e-12, float("nan")):
+            with pytest.raises(ValueError, match="epsilon"):
+                linear_kernel_attention(inputs, epsilon=epsilon)
+
+    def test_rejects_complex(self):
+        inputs = random_inputs(3, 2, seed=15, complex_=True)
+        with pytest.raises(ComplexNotSupported):
+            linear_kernel_attention(inputs)
+
     def test_zero_query_row_averages_values(self):
         # The epsilon guard maps a zero row to the constant feature alone, so
         # every key gets the same weight.
@@ -165,3 +198,12 @@ class TestLinearKernelAttention:
         out = linear_kernel_attention(inputs)
         assert np.all(out <= inputs.v.max(axis=0) + 1e-12)
         assert np.all(out >= inputs.v.min(axis=0) - 1e-12)
+
+
+class TestRandomInputs:
+    def test_one_stream_drawn_in_q_k_v_order(self):
+        inputs = random_inputs(4, 3, d_v=2, seed=16)
+        stream = random_matrix(10, 3, seed=16)
+        np.testing.assert_array_equal(inputs.q, stream[:4])
+        np.testing.assert_array_equal(inputs.k, stream[4:8])
+        np.testing.assert_array_equal(inputs.v, random_matrix(16, 2, seed=16)[12:])

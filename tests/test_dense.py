@@ -8,6 +8,8 @@ from attnops import (
     DimensionMismatch,
     NonFiniteInput,
     NotSquare,
+    as_matrix,
+    as_vector,
     gemm,
     kron,
     partial_trace,
@@ -24,6 +26,33 @@ def _finite_arrays(rows, cols):
         (rows, cols),
         elements=st.floats(min_value=-10.0, max_value=10.0, allow_nan=False),
     )
+
+
+class TestCoercion:
+    def test_integers_promote_to_contiguous_float64(self):
+        m = as_matrix(np.arange(6).reshape(2, 3).T, "m")
+        assert m.dtype == np.float64 and m.flags.c_contiguous
+        np.testing.assert_array_equal(m, [[0.0, 3.0], [1.0, 4.0], [2.0, 5.0]])
+
+    def test_matrix_rejects_other_ranks(self):
+        with pytest.raises(DimensionMismatch, match="^m: expected a 2-D"):
+            as_matrix(np.ones(3), "m")
+        with pytest.raises(DimensionMismatch):
+            as_matrix(np.ones((2, 2, 2)), "m")
+
+    def test_single_row_or_column_flattens_to_vector(self):
+        for shape in ((3, 1), (1, 3), (3,)):
+            x = as_vector(np.arange(3).reshape(shape), "x")
+            assert x.shape == (3,) and x.dtype == np.float64
+        assert as_vector([1j, 2.0]).dtype == np.complex128
+
+    def test_vector_rejects_full_matrix(self):
+        with pytest.raises(DimensionMismatch, match="^x: expected a 1-D"):
+            as_vector(np.ones((2, 2)), "x")
+
+    def test_vector_rejects_non_finite_by_name(self):
+        with pytest.raises(NonFiniteInput, match="^x contains"):
+            as_vector([1.0, np.inf], "x")
 
 
 class TestGemm:
@@ -156,6 +185,10 @@ class TestPartialTrace:
     def test_shape_guard(self):
         with pytest.raises(DimensionMismatch):
             partial_trace(np.eye(5), 2, 2)
+
+    def test_unknown_factor_rejected(self):
+        with pytest.raises(ValueError, match="trace_out"):
+            partial_trace(np.eye(4), 2, 2, "both")
 
 
 @settings(max_examples=30, deadline=None)
