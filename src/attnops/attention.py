@@ -118,6 +118,7 @@ def linear_kernel_attention(
     worst = int(np.argmin(denominators))
     if denominators[worst] < epsilon:
         raise DegenerateDenominator(
-            f"row {worst} denominator {denominators[worst]:.3e} is below {epsilon:.1e}"
+            f"row {worst} denominator {denominators[worst]:.3e} is below {epsilon:.1e}",
+            value=float(denominators[worst]), threshold=epsilon, row=worst,
         )
     return finite_result((fq @ (fk.T @ inputs.v)) / denominators[:, None], "kernel attention")

@@ -22,15 +22,38 @@ class ComplexNotSupported(AttnOpsError, TypeError):
 
 
 class DegenerateNormalizer(AttnOpsError, ArithmeticError):
-    """A trace / diagonal / row-sum normalizer fell below its threshold."""
+    """A trace / diagonal / row-sum normalizer fell below its threshold.
+
+    ``name`` says which normalizer, ``index`` which entry of a per-row one
+    (``None`` for a scalar trace), and ``value`` and ``threshold`` are the two
+    numbers compared.  Fields the raise site does not know stay ``None``.
+    """
+
+    def __init__(self, message, *, value=None, threshold=None, name=None, index=None):
+        super().__init__(message)
+        self.value, self.threshold, self.name, self.index = value, threshold, name, index
 
 
 class DegenerateDenominator(AttnOpsError, ArithmeticError):
-    """A kernel-attention row denominator fell below its threshold."""
+    """A kernel-attention row denominator fell below its threshold.
+
+    ``value`` is the smallest denominator, at ``row``, and ``threshold`` the bound.
+    """
+
+    def __init__(self, message, *, value=None, threshold=None, row=None):
+        super().__init__(message)
+        self.value, self.threshold, self.row = value, threshold, row
 
 
 class SingularDenominator(AttnOpsError, ArithmeticError):
-    """The rational-approximant denominator is numerically singular."""
+    """The rational-approximant denominator is numerically singular.
+
+    ``condition`` is its 1-norm condition estimate and ``limit`` the bound it exceeded.
+    """
+
+    def __init__(self, message, *, condition=None, limit=None):
+        super().__init__(message)
+        self.condition, self.limit = condition, limit
 
 
 class DvMismatch(AttnOpsError, ValueError):

@@ -10,6 +10,7 @@ denominator is never inverted explicitly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -61,8 +62,15 @@ def pade_coefficients(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
 
     Obtained by matching the exponential's Taylor series through order m + n,
     which fixes p_j = (m+n-j)! m! / ((m+n)! j! (m-j)!) and the mirrored,
-    sign-alternating q_j.
+    sign-alternating q_j.  The arrays are fresh copies the caller may modify.
     """
+    p, q = _pade_coefficients(m, n)
+    return p.copy(), q.copy()
+
+
+@functools.cache
+def _pade_coefficients(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``pade_coefficients``, computed once per degree pair and returned read-only."""
     if m < 1 or n < 1:
         raise ValueError("pade degrees must be >= 1")
     fact = math.factorial
@@ -72,7 +80,10 @@ def pade_coefficients(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
         (-1) ** j * Fraction(fact(m + n - j) * fact(n), total * fact(j) * fact(n - j))
         for j in range(n + 1)
     ]
-    return np.array([float(c) for c in p]), np.array([float(c) for c in q])
+    coeffs = np.array([float(c) for c in p]), np.array([float(c) for c in q])
+    for c in coeffs:
+        c.setflags(write=False)
+    return coeffs
 
 
 def _polyval_matrix(coeffs: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -118,7 +129,7 @@ def expm_pade(
     a = as_square(a, "a")
     if not scaling_threshold > 0:
         raise ValueError("scaling_threshold must be positive")
-    p_coeffs, q_coeffs = pade_coefficients(m, n)
+    p_coeffs, q_coeffs = _pade_coefficients(m, n)
     s = _squarings(_one_norm(a), scaling_threshold)
     x = a / (2.0**s)
     p_mat = _polyval_matrix(p_coeffs, x)
@@ -129,7 +140,8 @@ def expm_pade(
         condition = math.inf
     if not np.isfinite(condition) or condition > _CONDITION_LIMIT:
         raise SingularDenominator(
-            f"denominator condition estimate {condition:.3e} exceeds {_CONDITION_LIMIT:.0e}"
+            f"denominator condition estimate {condition:.3e} exceeds {_CONDITION_LIMIT:.0e}",
+            condition=float(condition), limit=_CONDITION_LIMIT,
         )
     out = np.linalg.solve(q_mat, p_mat)
     for _ in range(s):

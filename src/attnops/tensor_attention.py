@@ -90,7 +90,7 @@ def checked_normalizer(values, eps: float, name: str = "operator trace"):
     NonFiniteInput; an entry below the threshold raises DegenerateNormalizer
     naming it, rather than being divided through by an epsilon.
     """
-    label, value = name, values
+    label, value, worst = name, values, None
     if isinstance(values, np.ndarray):
         finite = np.isfinite(values)
         worst = int(np.argmin(values)) if finite.all() else int(np.argmin(finite))
@@ -98,7 +98,8 @@ def checked_normalizer(values, eps: float, name: str = "operator trace"):
     if not math.isfinite(value):
         raise NonFiniteInput(f"{label} {value} is not finite: the inputs overflowed")
     if value < eps:
-        raise DegenerateNormalizer(f"{label} {value:.3e} is below {eps:.3e}")
+        raise DegenerateNormalizer(f"{label} {value:.3e} is below {eps:.3e}",
+                                   value=float(value), threshold=eps, name=name, index=worst)
     return values
 
 

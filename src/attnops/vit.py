@@ -16,6 +16,12 @@ block runs over row tiles, so no n-by-hidden array exists; the last tile absorbs
 a one-row remainder, which numpy would send to gemv.  The row-local steps keep
 their bytes, and the GEMMs keep them where BLAS rounds a row tile as it rounds
 the whole matrix (OpenBLAS does at the benchmark shapes, not at all shapes).
+
+Import cost: ``import attnops`` loads only numpy.  scipy.special, whose ``erf``
+ufunc gelu runs, takes several times longer to import than the rest of the
+package (about 0.3 s and 20 MB on a 2-vCPU Xeon with scipy 1.17), so it is
+loaded once, when an encoder is built (``vit_init``) or ``gelu`` first runs; a
+forward timed after ``vit_init`` never includes the import.
 """
 
 from __future__ import annotations
@@ -26,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy.special import erf
 
 from .attention import AttnInputs
 from .dense import as_matrix
@@ -106,6 +111,7 @@ def vit_init(
             raise ValueError(f"{name} must be >= 1, got {count}")
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
+    _erf()  # load scipy.special now, so the first forward does not pay for it
     rng = np.random.default_rng(seed)
     bound = 1.0 / math.sqrt(width)
 
@@ -172,17 +178,25 @@ def layer_norm(x: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarra
 
 
 @functools.cache
+def _erf() -> np.ufunc:
+    """scipy's ``erf`` ufunc, imported on first use."""
+    from scipy.special import erf
+
+    return erf
+
+
+@functools.cache
 def _gelu_dtype(dtype: np.dtype) -> np.dtype:
     """The dtype the one-line gelu formula returns for ``dtype`` input."""
     x = np.empty(0, dtype)
-    return (0.5 * x * (1.0 + erf(x / _SQRT2))).dtype
+    return (0.5 * x * (1.0 + _erf()(x / _SQRT2))).dtype
 
 
 def _gelu_into(x: np.ndarray, out: np.ndarray) -> None:
     """Write the gelu of one block ``x`` into ``out``, of gelu's dtype; ``out`` may be ``x``."""
     half = 0.5 * x
     np.divide(x, _SQRT2, out=out)
-    erf(out, out=out)
+    _erf()(out, out=out)
     np.add(1.0, out, out=out)
     np.multiply(half, out, out=out)
 

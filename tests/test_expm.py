@@ -66,6 +66,16 @@ class TestPade:
         np.testing.assert_allclose(p, [1.0, 0.5, 1.0 / 12.0], rtol=0)
         np.testing.assert_allclose(q, [1.0, -0.5, 1.0 / 12.0], rtol=0)
 
+    def test_coefficients_are_fresh_copies(self):
+        a = _random_contraction(np.random.default_rng(3)) * 4.0
+        before = expm_pade(a, 6, 6)
+        p, q = pade_coefficients(6, 6)
+        p[:] = 0.0
+        q *= -1.0
+        assert expm_pade(a, 6, 6).tobytes() == before.tobytes()
+        p, q = pade_coefficients(6, 6)
+        assert p.flags.writeable and p[0] == q[0] == 1.0
+
     def test_nilpotent_is_exact(self):
         out = expm_pade(NILPOTENT, 6, 6)
         assert np.array_equal(out, np.array([[1.0, 1.0], [0.0, 1.0]]))
