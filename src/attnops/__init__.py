@@ -48,7 +48,6 @@ from .errors import (
     UnknownVariant,
 )
 from .expm import (
-    ExpmSpec,
     expm_pade,
     expm_taylor,
     matrix_exponential,

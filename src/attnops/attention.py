@@ -15,7 +15,7 @@ import numpy as np
 from .dense import as_matrix, finite_result
 from .errors import ComplexNotSupported, DegenerateDenominator, DimensionMismatch
 
-DEFAULT_KERNEL_EPSILON = 1e-12
+KERNEL_EPSILON = 1e-12
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,7 @@ class AttnInputs:
         v = q if self.v is self.q and self.k is self.q else as_matrix(self.v, "v")
         if v.shape[0] != q.shape[0]:
             raise DimensionMismatch(f"v has {v.shape[0]} rows, expected {q.shape[0]}")
-        if q.shape[0] < 1 or q.shape[1] < 1 or v.shape[1] < 1:
+        if v.shape[1] < 1:
             raise DimensionMismatch("need at least one token, one feature, one value column")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "k", k)
@@ -60,12 +60,14 @@ class AttnInputs:
 
 
 def conform_pair(q, k) -> tuple[np.ndarray, np.ndarray]:
-    """Validate q and k as matrices of one shape, promoted to a common scalar kind."""
+    """Validate q and k as non-empty matrices of one shape, promoted to a common scalar kind."""
     shared = k is q
     q = as_matrix(q, "q")
     k = q if shared else as_matrix(k, "k")
     if q.shape != k.shape:
         raise DimensionMismatch(f"q {q.shape} and k {k.shape} must share both dimensions")
+    if not q.size:
+        raise DimensionMismatch("need at least one token, one feature, one value column")
     common = np.result_type(q.dtype, k.dtype)
     return q.astype(common, copy=False), k.astype(common, copy=False)
 
@@ -90,35 +92,31 @@ def softmax_attention(inputs: AttnInputs) -> np.ndarray:
     return finite_result(row_softmax(logits) @ inputs.v, "softmax attention")
 
 
-def _feature_rows(m: np.ndarray, epsilon: float) -> np.ndarray:
-    """Map each row x to [1, x / max(||x||, epsilon)]; a zero row keeps only the 1.
+def _feature_rows(m: np.ndarray) -> np.ndarray:
+    """Map each row x to [1, x / max(||x||, KERNEL_EPSILON)]; a zero row keeps only the 1.
 
     Inner products of mapped rows are 1 + cosine similarity, non-negative and
     close to exp near zero.
     """
     norms = np.linalg.norm(m, axis=1, keepdims=True)
-    return np.hstack([np.ones((m.shape[0], 1)), m / np.maximum(norms, epsilon)])
+    return np.hstack([np.ones((m.shape[0], 1)), m / np.maximum(norms, KERNEL_EPSILON)])
 
 
-def linear_kernel_attention(
-    inputs: AttnInputs, epsilon: float = DEFAULT_KERNEL_EPSILON
-) -> np.ndarray:
+def linear_kernel_attention(inputs: AttnInputs) -> np.ndarray:
     """Kernelized attention in the associativity-reordered linear-time form.
 
     Computes phi(q) (phi(k)^T v) with per-row denominator phi(q) (phi(k)^T 1),
-    touching no n-by-n intermediate.  Denominators below ``epsilon`` are
-    reported as degenerate rather than divided through.
+    touching no n-by-n intermediate.  Denominators below ``KERNEL_EPSILON``
+    are reported as degenerate rather than divided through.
     """
     require_real(inputs.is_complex, "kernel attention")
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
-    fq = _feature_rows(inputs.q, epsilon)
-    fk = _feature_rows(inputs.k, epsilon)
+    fq = _feature_rows(inputs.q)
+    fk = _feature_rows(inputs.k)
     denominators = fq @ fk.sum(axis=0)
     worst = int(np.argmin(denominators))
-    if denominators[worst] < epsilon:
+    if denominators[worst] < KERNEL_EPSILON:
         raise DegenerateDenominator(
-            f"row {worst} denominator {denominators[worst]:.3e} is below {epsilon:.1e}",
-            value=float(denominators[worst]), threshold=epsilon, row=worst,
+            f"row {worst} denominator {denominators[worst]:.3e} is below {KERNEL_EPSILON:.1e}",
+            value=float(denominators[worst]), threshold=KERNEL_EPSILON, row=worst,
         )
     return finite_result((fq @ (fk.T @ inputs.v)) / denominators[:, None], "kernel attention")

@@ -56,7 +56,7 @@ def as_square(a, name: str = "operand") -> np.ndarray:
 def finite_result(out: np.ndarray, op: str) -> np.ndarray:
     """Return ``out``, or raise NonFiniteInput naming ``op`` if it holds NaN or Inf."""
     if out.size and not np.all(np.isfinite(out)):
-        raise NonFiniteInput(f"{op} overflowed to non-finite values")
+        raise NonFiniteInput(f"{op} overflowed to non-finite values", stage=op)
     return out
 
 

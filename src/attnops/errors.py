@@ -14,7 +14,15 @@ class NotSquare(DimensionMismatch):
 
 
 class NonFiniteInput(AttnOpsError, ValueError):
-    """An operand (or a result) contains NaN or Inf."""
+    """An operand (or a result) contains NaN or Inf.
+
+    ``stage`` names the result or normalizer that overflowed; it stays ``None``
+    when an input operand was rejected.
+    """
+
+    def __init__(self, message, *, stage=None):
+        super().__init__(message)
+        self.stage = stage
 
 
 class ComplexNotSupported(AttnOpsError, TypeError):

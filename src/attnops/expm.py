@@ -1,18 +1,21 @@
 """Matrix exponential via truncated Taylor series or diagonal Pade approximants.
 
-Both methods share the same scaling-and-squaring wrapper: when the 1-norm of
-the argument exceeds ``scaling_threshold`` the matrix is divided by a power of
+Both methods share one scaling-and-squaring wrapper: when the 1-norm of the
+argument exceeds ``scaling_threshold`` the matrix is divided by a power of
 two, the series / rational approximant is evaluated there, and the result is
 squared back up.  Pass ``scaling_threshold=math.inf`` to evaluate the raw
 approximant.  The Pade step solves Q(A) X = P(A) with partial-pivot LU; the
-denominator is never inverted explicitly.
+denominator is never inverted explicitly.  The empty matrix is its own
+exponential.
+
+``matrix_exponential`` is the one exponential the attention variants use:
+the degree-(6, 6) Pade approximant at threshold 0.5, with no options.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -24,30 +27,7 @@ DEFAULT_SCALING_THRESHOLD = 0.5
 _CONDITION_LIMIT = 1e12
 
 
-@dataclass(frozen=True)
-class ExpmSpec:
-    """Method selection for the attention variants that exponentiate an operator."""
-
-    method: str = "pade"
-    taylor_terms: int = 30
-    pade_m: int = 6
-    pade_n: int = 6
-    scaling_threshold: float = DEFAULT_SCALING_THRESHOLD
-
-    def __post_init__(self):
-        if self.method not in ("taylor", "pade"):
-            raise ValueError(f"method must be 'taylor' or 'pade', got {self.method!r}")
-        if self.taylor_terms < 1:
-            raise ValueError("taylor_terms must be >= 1")
-        if self.pade_m < 1 or self.pade_n < 1:
-            raise ValueError("pade degrees must be >= 1")
-        if not self.scaling_threshold > 0:
-            raise ValueError("scaling_threshold must be positive")
-
-
 def _one_norm(a: np.ndarray) -> float:
-    if a.size == 0:
-        return 0.0
     return float(np.max(np.sum(np.abs(a), axis=0)))
 
 
@@ -95,6 +75,19 @@ def _polyval_matrix(coeffs: np.ndarray, a: np.ndarray) -> np.ndarray:
     return acc
 
 
+def _scaled_and_squared(a: np.ndarray, scaling_threshold: float, approximant) -> np.ndarray:
+    """approximant(A / 2^s) squared s times; s halvings bring A's 1-norm to the threshold."""
+    if not scaling_threshold > 0:
+        raise ValueError("scaling_threshold must be positive")
+    if not a.size:
+        return a.copy()
+    s = _squarings(_one_norm(a), scaling_threshold)
+    out = approximant(a / (2.0**s))
+    for _ in range(s):
+        out = out @ out
+    return out
+
+
 def expm_taylor(
     a,
     terms: int = 30,
@@ -104,19 +97,17 @@ def expm_taylor(
     a = as_square(a, "a")
     if terms < 1:
         raise ValueError("terms must be >= 1")
-    if not scaling_threshold > 0:
-        raise ValueError("scaling_threshold must be positive")
-    s = _squarings(_one_norm(a), scaling_threshold)
-    x = a / (2.0**s)
-    eye = np.eye(a.shape[0], dtype=x.dtype)
-    acc = eye.copy()
-    term = eye
-    for k in range(1, terms + 1):
-        term = term @ x / k
-        acc = acc + term
-    for _ in range(s):
-        acc = acc @ acc
-    return acc
+
+    def series(x):
+        eye = np.eye(x.shape[0], dtype=x.dtype)
+        acc = eye.copy()
+        term = eye
+        for k in range(1, terms + 1):
+            term = term @ x / k
+            acc = acc + term
+        return acc
+
+    return _scaled_and_squared(a, scaling_threshold, series)
 
 
 def expm_pade(
@@ -127,29 +118,25 @@ def expm_pade(
 ) -> np.ndarray:
     """Solve Q(A) X = P(A) for the degree-(m, n) approximant, with scaling-and-squaring."""
     a = as_square(a, "a")
-    if not scaling_threshold > 0:
-        raise ValueError("scaling_threshold must be positive")
     p_coeffs, q_coeffs = _pade_coefficients(m, n)
-    s = _squarings(_one_norm(a), scaling_threshold)
-    x = a / (2.0**s)
-    p_mat = _polyval_matrix(p_coeffs, x)
-    q_mat = _polyval_matrix(q_coeffs, x)
-    try:
-        condition = np.linalg.cond(q_mat, 1)
-    except np.linalg.LinAlgError:
-        condition = math.inf
-    if not np.isfinite(condition) or condition > _CONDITION_LIMIT:
-        raise SingularDenominator(
-            f"denominator condition estimate {condition:.3e} exceeds {_CONDITION_LIMIT:.0e}",
-            condition=float(condition), limit=_CONDITION_LIMIT,
-        )
-    out = np.linalg.solve(q_mat, p_mat)
-    for _ in range(s):
-        out = out @ out
-    return out
+
+    def rational(x):
+        p_mat = _polyval_matrix(p_coeffs, x)
+        q_mat = _polyval_matrix(q_coeffs, x)
+        try:
+            condition = np.linalg.cond(q_mat, 1)
+        except np.linalg.LinAlgError:
+            condition = math.inf
+        if not np.isfinite(condition) or condition > _CONDITION_LIMIT:
+            raise SingularDenominator(
+                f"denominator condition estimate {condition:.3e} exceeds {_CONDITION_LIMIT:.0e}",
+                condition=float(condition), limit=_CONDITION_LIMIT,
+            )
+        return np.linalg.solve(q_mat, p_mat)
+
+    return _scaled_and_squared(a, scaling_threshold, rational)
 
 
-def matrix_exponential(a, spec: ExpmSpec = ExpmSpec()) -> np.ndarray:
-    if spec.method == "taylor":
-        return expm_taylor(a, spec.taylor_terms, spec.scaling_threshold)
-    return expm_pade(a, spec.pade_m, spec.pade_n, spec.scaling_threshold)
+def matrix_exponential(a) -> np.ndarray:
+    """exp(A) as the attention variants compute it: ``expm_pade`` at its defaults."""
+    return expm_pade(a)

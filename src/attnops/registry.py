@@ -2,10 +2,10 @@
 
 Every entry maps a string id to a forward function (AttnInputs, **options) ->
 ndarray of shape (n, d_v).  The operator entries build one ``TensorOpConfig``
-from the ``side``, ``hadamard`` and ``trace_epsilon`` options, for the token
-and the channel operators alike, and forward every other option (``lam``,
-``spec``, ``normalization``) to the implementation, which rejects one it does
-not take.
+from the ``side`` and ``hadamard`` options, for the token and the channel
+operators alike, and forward every other option (``lam``, ``normalization``)
+to the implementation, which rejects one it does not take.  The baselines
+take no options.  Every normalizer threshold is a constant of the library.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ def _operator(name: str, *fixed, **defaults):
     again gets a TypeError, and a caller's option overrides a keyword default.
     """
 
-    def run(inputs: AttnInputs, side=Q_SIDE, hadamard=False, trace_epsilon=None, **options):
-        cfg = TensorOpConfig(side=side, hadamard=hadamard, trace_epsilon=trace_epsilon)
+    def run(inputs: AttnInputs, side=Q_SIDE, hadamard=False, **options):
+        cfg = TensorOpConfig(side=side, hadamard=hadamard)
         return globals()[name](inputs, cfg, *fixed, **{**defaults, **options})
 
     return run
@@ -50,7 +50,7 @@ def _operator(name: str, *fixed, **defaults):
 # module attributes with timing wrappers and must see every call.
 VARIANTS = {
     "softmax": lambda inputs: softmax_attention(inputs),
-    "kernel": lambda inputs, epsilon=1e-12: linear_kernel_attention(inputs, epsilon),
+    "kernel": lambda inputs: linear_kernel_attention(inputs),
     "tensor_naive": _operator("tensor_attention_naive"),
     "tensor_diag": _operator("tensor_attention_naive", DIAG),
     "tensor_row": _operator("tensor_attention_naive", ROW),

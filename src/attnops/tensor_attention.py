@@ -30,7 +30,8 @@ reject it.  Every variant takes ``(inputs, cfg, ...)``, where
 operator of ``tensor_interaction``; only ``tensor_naive`` and
 ``normalized_tensor_operator`` take a ``normalization`` (trace, diag or row).
 Every trace, diagonal and row-sum normalizer goes through
-``checked_normalizer``.
+``checked_normalizer``, which holds the one threshold, 1e-12 times the
+operator's order.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import numpy as np
 from .attention import AttnInputs, conform_pair, require_real
 from .dense import finite_result
 from .errors import DegenerateNormalizer, NonFiniteInput
-from .expm import ExpmSpec, matrix_exponential
+from .expm import matrix_exponential
 
 Q_SIDE = "q"
 K_SIDE = "k"
@@ -57,46 +58,33 @@ _NORMALIZATIONS = (TRACE, DIAG, ROW)
 
 @dataclass(frozen=True)
 class TensorOpConfig:
-    """Which operator flavor to build, in token space (n-by-n) or channel space (d-by-d).
-
-    ``trace_epsilon=None`` resolves to the scale-aware default 1e-12 * size at
-    call time, where size is the operator's order; a normalizer below the
-    threshold raises DegenerateNormalizer instead of being silently padded.
-    """
+    """Which operator flavor to build, in token space (n-by-n) or channel space (d-by-d)."""
 
     side: str = Q_SIDE
     hadamard: bool = False
-    trace_epsilon: float | None = None
 
     def __post_init__(self):
         if self.side not in _SIDES:
             raise ValueError(f"side must be one of {_SIDES}, got {self.side!r}")
-        if self.trace_epsilon is not None and not self.trace_epsilon > 0:
-            raise ValueError("trace_epsilon must be positive")
-
-    def epsilon(self, size: int) -> float:
-        return self.trace_epsilon if self.trace_epsilon is not None else 1e-12 * size
-
-    def trace_normalizer(self, t: np.ndarray) -> float:
-        """tr(t) of a materialized operator, once ``checked_normalizer`` accepts it."""
-        return checked_normalizer(float(np.real(np.trace(t))), self.epsilon(t.shape[0]))
 
 
-def checked_normalizer(values, eps: float, name: str = "operator trace"):
-    """Return ``values`` once every entry is finite and at least ``eps``.
+def checked_normalizer(values, size: int, name: str = "operator trace"):
+    """Return ``values`` once every entry is finite and at least 1e-12 * ``size``.
 
     ``values`` is a scalar trace or a vector of per-row normalizers named
-    ``name`` (diagonal entries, row sums).  An overflowed entry raises
-    NonFiniteInput; an entry below the threshold raises DegenerateNormalizer
-    naming it, rather than being divided through by an epsilon.
+    ``name`` (diagonal entries, row sums) of an operator of order ``size``.
+    An overflowed entry raises NonFiniteInput; an entry below the threshold
+    raises DegenerateNormalizer naming it, rather than being divided through
+    by an epsilon.
     """
+    eps = 1e-12 * size
     label, value, worst = name, values, None
     if isinstance(values, np.ndarray):
         finite = np.isfinite(values)
         worst = int(np.argmin(values)) if finite.all() else int(np.argmin(finite))
         label, value = f"{name} {worst} =", values[worst]
     if not math.isfinite(value):
-        raise NonFiniteInput(f"{label} {value} is not finite: the inputs overflowed")
+        raise NonFiniteInput(f"{label} {value} is not finite: the inputs overflowed", stage=name)
     if value < eps:
         raise DegenerateNormalizer(f"{label} {value:.3e} is below {eps:.3e}",
                                    value=float(value), threshold=eps, name=name, index=worst)
@@ -189,14 +177,14 @@ class FactoredOperator:
                 state = state + w_h[:, rows] @ v[rows]
         return out
 
-    def expm_apply(self, v: np.ndarray, scale: float, spec: ExpmSpec) -> np.ndarray:
+    def expm_apply(self, v: np.ndarray, scale: float) -> np.ndarray:
         """expm(T / scale) v = v + U phi_1(W^H U) W^H v, with U = W G / scale.
 
         phi_1(z) = (e^z - 1) / z is read off the top-right d-by-d block of
         expm([[W^H U, I], [0, 0]]), so the exponential runs on a 2d-by-2d
-        matrix with the caller's ``spec``.  W is divided, and U multiplied, by
-        the power of two just above W's largest entry: exact, and it keeps
-        W^H v finite wherever the materialized expm(T / scale) v is.
+        matrix.  W is divided, and U multiplied, by the power of two just
+        above W's largest entry: exact, and it keeps W^H v finite wherever
+        the materialized expm(T / scale) v is.
         """
         balance = 2.0 ** np.frexp(np.max(np.abs(self.w)))[1]
         u = (self.w @ self.gram) / scale * balance
@@ -205,7 +193,7 @@ class FactoredOperator:
         block = np.zeros((2 * d, 2 * d), dtype=u.dtype)
         block[:d, :d] = w_h @ u
         block[:d, d:] = np.eye(d)
-        phi = matrix_exponential(block, spec)[:d, d:]
+        phi = matrix_exponential(block)[:d, d:]
         return v + u @ (phi @ (w_h @ v))
 
 
@@ -272,11 +260,11 @@ def normalized_tensor_operator(
         t, total = _operator_and_trace(q, k, cfg)
         return t / total
     t = build_tensor_operator(q, k, cfg)
-    eps = cfg.epsilon(t.shape[0])
+    n = t.shape[0]
     if normalization == DIAG:
-        return t / checked_normalizer(np.real(np.diag(t)), eps, "diagonal entry")[:, None]
+        return t / checked_normalizer(np.real(np.diag(t)), n, "diagonal entry")[:, None]
     require_real(np.iscomplexobj(t), "row normalization")
-    return t / checked_normalizer(t.sum(axis=1), eps, "row sum")[:, None]
+    return t / checked_normalizer(t.sum(axis=1), n, "row sum")[:, None]
 
 
 def tensor_attention_naive(
@@ -326,11 +314,7 @@ def tensor_attention_elem_exp(
     return finite_result(np.exp(t / total) @ inputs.v, "elementwise exponential")
 
 
-def tensor_attention_expm(
-    inputs: AttnInputs,
-    cfg: TensorOpConfig = TensorOpConfig(),
-    spec: ExpmSpec = ExpmSpec(),
-) -> np.ndarray:
+def tensor_attention_expm(inputs: AttnInputs, cfg: TensorOpConfig = TensorOpConfig()) -> np.ndarray:
     """Apply the matrix exponential of the trace-normalized operator to v.
 
     The product flavors never form T: the exponential runs on a 2d-by-2d
@@ -339,10 +323,10 @@ def tensor_attention_expm(
     """
     if cfg.hadamard:
         t, total = _operator_and_trace(inputs.q, inputs.k, cfg)
-        out = matrix_exponential(t / total, spec) @ inputs.v
+        out = matrix_exponential(t / total) @ inputs.v
     else:
         op, total = _factored_and_trace(inputs, cfg)
-        out = op.expm_apply(inputs.v, total, spec)
+        out = op.expm_apply(inputs.v, total)
     return finite_result(out, "matrix-exponential tensor attention")
 
 
@@ -374,16 +358,13 @@ def tensor_attention_residual(
     """(T + lam * tr(T) * I) v, evaluated in the factorized linear-time form.
 
     Unnormalized by design, so large inputs can overflow; that raises
-    NonFiniteInput.  With no normalizer to guard, a ``cfg.trace_epsilon`` is
-    rejected rather than ignored.  The factorization used is the rank-d one of
-    the product flavors.  The elementwise flavor is rejected: it does factor,
+    NonFiniteInput.  The factorization used is the rank-d one of the product
+    flavors.  The elementwise flavor is rejected: it does factor,
     but only at rank d^2 (Khatri-Rao rows q_i kron k_i), which this path does
     not build.
     """
     if not 0 <= lam < np.inf:
         raise ValueError("lam must be finite and non-negative")
-    if cfg.trace_epsilon is not None:
-        raise ValueError("trace_epsilon does not apply: residual tensor attention is unnormalized")
     op = FactoredOperator.of(inputs.q, inputs.k, cfg)
     out = op.apply(inputs.v)
     if lam:
@@ -394,10 +375,10 @@ def tensor_attention_residual(
 def _operator_and_trace(q, k, cfg: TensorOpConfig) -> tuple[np.ndarray, float]:
     """The materialized operator and its guarded trace normalizer."""
     t = build_tensor_operator(q, k, cfg)
-    return t, cfg.trace_normalizer(t)
+    return t, checked_normalizer(float(np.real(np.trace(t))), t.shape[0])
 
 
 def _factored_and_trace(inputs: AttnInputs, cfg: TensorOpConfig) -> tuple[FactoredOperator, float]:
     """The product-flavor operator in factored form and its guarded trace normalizer."""
     op = FactoredOperator.of(inputs.q, inputs.k, cfg)
-    return op, checked_normalizer(op.trace(), cfg.epsilon(inputs.n))
+    return op, checked_normalizer(op.trace(), inputs.n)

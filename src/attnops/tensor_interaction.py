@@ -5,8 +5,9 @@ independent of the token count: growing the sequence only refines the d-by-d
 statistics.  Training cost is linear in n and applying a cached operator is
 constant in n, which is the practical point of this mechanism.
 
-The same ``TensorOpConfig`` as the token operator's picks the flavor and the
-trace threshold (1e-12 * d by default), and the output is n-by-d, as there.
+The same ``TensorOpConfig`` as the token operator's picks the flavor, the
+trace goes through the token operator's ``checked_normalizer`` (threshold
+1e-12 * d), and the output is n-by-d, as there.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 from .attention import AttnInputs, conform_pair
 from .dense import finite_result
 from .errors import DvMismatch
-from .tensor_attention import TensorOpConfig, flavored_product
+from .tensor_attention import TensorOpConfig, checked_normalizer, flavored_product
 
 
 def coupling_matrix(q, k) -> np.ndarray:
@@ -49,6 +50,6 @@ def tensor_interaction(inputs: AttnInputs, cfg: TensorOpConfig = TensorOpConfig(
             f"value width {inputs.d_v} must equal model width {inputs.d} for this mechanism"
         )
     t = build_interaction_operator(inputs.q, inputs.k, cfg)
-    total = cfg.trace_normalizer(t)
+    total = checked_normalizer(float(np.real(np.trace(t))), inputs.d)
     as_written = finite_result((t @ inputs.v.T) / total, "tensor interaction")
     return np.ascontiguousarray(as_written.T)

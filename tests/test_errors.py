@@ -7,6 +7,7 @@ from attnops import (
     AttnInputs,
     DegenerateDenominator,
     DegenerateNormalizer,
+    NonFiniteInput,
     SingularDenominator,
     expm_pade,
     linear_kernel_attention,
@@ -32,8 +33,8 @@ def test_arithmetic_errors_carry_their_numbers():
     # feature rows give row 0 a denominator of 2 and row 1 exactly 0
     q, k = np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([[-1.0, 0.0], [-1.0, 0.0]])
     with pytest.raises(DegenerateDenominator, match="row 1 denominator") as kernel:
-        linear_kernel_attention(AttnInputs(q, k, V), epsilon=1e-9)
-    assert vars(kernel.value) == {"value": 0.0, "threshold": 1e-9, "row": 1}
+        linear_kernel_attention(AttnInputs(q, k, V))
+    assert vars(kernel.value) == {"value": 0.0, "threshold": 1e-12, "row": 1}
 
     # the [1/1] denominator 1 - x/2 is diag(q11, 1) here, with condition 1 / q11 ~ 1e14
     a = np.diag([2.0 - 2e-14, 0.0])
@@ -43,3 +44,21 @@ def test_arithmetic_errors_carry_their_numbers():
     assert vars(pade.value) == {"condition": np.linalg.cond(np.diag([q11, 1.0]), 1),
                                 "limit": 1e12}
     assert pade.value.condition > 1e13
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_input_names_its_stage():
+    with pytest.raises(NonFiniteInput, match="q contains NaN") as operand:
+        AttnInputs(np.array([[np.nan, 0.0], [1.0, 0.0]]), np.eye(2), V)
+    assert vars(operand.value) == {"stage": None}
+
+    # Q scaled by 1e160 overflows the operator, so its trace is not finite.
+    big = np.array([[1e160, 0.0], [0.0, 1.0]])
+    with pytest.raises(NonFiniteInput, match="operator trace .* is not finite") as normalizer:
+        tensor_attention_naive(AttnInputs(big, big, V))
+    assert vars(normalizer.value) == {"stage": "operator trace"}
+
+    # The denominators pass the guard; the weighted sum of 1e308 values overflows.
+    with pytest.raises(NonFiniteInput, match="kernel attention overflowed") as result:
+        linear_kernel_attention(AttnInputs(np.eye(2), np.eye(2), np.full((2, 2), 1e308)))
+    assert vars(result.value) == {"stage": "kernel attention"}

@@ -5,7 +5,6 @@ import pytest
 import scipy.linalg
 
 from attnops import (
-    ExpmSpec,
     NotSquare,
     SingularDenominator,
     expm_pade,
@@ -140,21 +139,23 @@ class TestSharedProperties:
         np.testing.assert_allclose(expm_pade(a), scipy.linalg.expm(a), atol=1e-10)
 
 
-class TestSpec:
-    def test_dispatch(self):
-        a = np.diag([0.3, 0.4])
-        np.testing.assert_allclose(
-            matrix_exponential(a, ExpmSpec(method="taylor", taylor_terms=30)),
-            matrix_exponential(a, ExpmSpec(method="pade")),
-            atol=1e-10,
-        )
+class TestScalingAndSquaring:
+    @pytest.mark.parametrize("expm", [expm_taylor, expm_pade, matrix_exponential])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_empty_matrix_is_its_own_exponential(self, expm, dtype):
+        empty = np.zeros((0, 0), dtype=dtype)
+        expected = scipy.linalg.expm(empty)
+        out = expm(empty)
+        assert out.shape == (0, 0) and out.dtype == expected.dtype == dtype
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ExpmSpec(method="schur")
-        with pytest.raises(ValueError):
-            ExpmSpec(taylor_terms=0)
-        with pytest.raises(ValueError):
-            ExpmSpec(pade_m=0)
-        with pytest.raises(ValueError):
-            ExpmSpec(scaling_threshold=0.0)
+    @pytest.mark.parametrize("expm", [expm_taylor, expm_pade])
+    def test_threshold_must_be_positive(self, expm):
+        for threshold in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="scaling_threshold"):
+                expm(np.eye(2), scaling_threshold=threshold)
+            with pytest.raises(ValueError, match="scaling_threshold"):
+                expm(np.zeros((0, 0)), scaling_threshold=threshold)
+
+    def test_matrix_exponential_is_the_default_pade(self):
+        a = _random_contraction(np.random.default_rng(6), 4) * 8.0
+        assert matrix_exponential(a).tobytes() == expm_pade(a, 6, 6, 0.5).tobytes()

@@ -4,7 +4,6 @@ import pytest
 from attnops import (
     AttnInputs,
     DegenerateNormalizer,
-    ExpmSpec,
     TensorOpConfig,
     forward,
     linear_kernel_attention,
@@ -42,7 +41,6 @@ CONFIGS = [
     TensorOpConfig(),
     TensorOpConfig(side="k"),
     TensorOpConfig(hadamard=True),
-    TensorOpConfig(side="k", trace_epsilon=1e-9),
 ]
 
 
@@ -53,7 +51,7 @@ def nonneg_inputs(n=12, d=4, seed=3):
 
 
 def options(cfg):
-    return {"side": cfg.side, "hadamard": cfg.hadamard, "trace_epsilon": cfg.trace_epsilon}
+    return {"side": cfg.side, "hadamard": cfg.hadamard}
 
 
 def assert_same_bytes(got, expected):
@@ -111,12 +109,12 @@ class TestOptionsRejected:
         with pytest.raises(ValueError, match="side"):
             forward("tensor_naive", nonneg_inputs(), side="both")
 
-    def test_residual_rejects_trace_epsilon(self):
-        inputs = nonneg_inputs()
-        with pytest.raises(ValueError, match="trace_epsilon"):
-            forward("tensor_residual", inputs, trace_epsilon=1e300)
-        with pytest.raises(ValueError, match="trace_epsilon"):
-            tensor_attention_residual(inputs, TensorOpConfig(trace_epsilon=1e-9), lam=0.5)
+    # The thresholds and the exponential are constants of the library, not options.
+    @pytest.mark.parametrize("variant", sorted(IMPLEMENTATIONS))
+    @pytest.mark.parametrize("option", ["trace_epsilon", "spec", "epsilon"])
+    def test_removed_options(self, variant, option):
+        with pytest.raises(TypeError):
+            forward(variant, nonneg_inputs(), **{option: 1e-9})
 
 
 class TestOptionsForwarded:
@@ -144,19 +142,19 @@ class TestOptionsForwarded:
         assert_same_bytes(
             forward("tensor_linear", inputs, **options(cfg)), tensor_attention_linear(inputs, cfg)
         )
-        if cfg.trace_epsilon is None:  # the unnormalized residual rejects trace_epsilon
-            assert_same_bytes(
-                forward("tensor_residual", inputs, **options(cfg)),
-                tensor_attention_residual(inputs, cfg, lam=0.5),
-            )
+        assert_same_bytes(
+            forward("tensor_residual", inputs, **options(cfg)),
+            tensor_attention_residual(inputs, cfg, lam=0.5),
+        )
 
     @pytest.mark.parametrize(
         "variant", sorted(set(IMPLEMENTATIONS) - {"softmax", "kernel", "tensor_residual"})
     )
-    def test_trace_epsilon_reaches_the_guard(self, variant):
+    def test_zero_queries_reach_the_guard(self, variant):
         # tensor_residual is unnormalized, so only the normalized ids are checked.
+        inputs = nonneg_inputs()
         with pytest.raises(DegenerateNormalizer):
-            forward(variant, nonneg_inputs(), trace_epsilon=1e300)
+            forward(variant, AttnInputs(np.zeros_like(inputs.q), inputs.k, inputs.v))
 
     def test_naive_forwards_normalization(self):
         inputs = nonneg_inputs()
@@ -176,19 +174,10 @@ class TestOptionsForwarded:
                 tensor_attention_residual(inputs, cfg, lam=lam),
             )
 
-    def test_expm_forwards_spec(self):
-        inputs = nonneg_inputs()
-        spec = ExpmSpec(method="taylor", taylor_terms=3)
-        out = forward("tensor_expm", inputs, spec=spec)
-        assert_same_bytes(out, tensor_attention_expm(inputs, TensorOpConfig(), spec))
-        assert not np.array_equal(out, forward("tensor_expm", inputs))
-
-    def test_kernel_forwards_epsilon(self):
-        inputs = nonneg_inputs()
-        out = forward("kernel", inputs, epsilon=3.0)
-        assert_same_bytes(out, linear_kernel_attention(inputs, 3.0))
-        assert not np.array_equal(out, forward("kernel", inputs))
-
     def test_softmax_matches_direct_call(self):
         inputs = nonneg_inputs()
         assert_same_bytes(forward("softmax", inputs), softmax_attention(inputs))
+
+    def test_kernel_matches_direct_call(self):
+        inputs = nonneg_inputs()
+        assert_same_bytes(forward("kernel", inputs), linear_kernel_attention(inputs))

@@ -9,13 +9,16 @@ from attnops import (
     AttnOpsError,
     ComplexNotSupported,
     DegenerateNormalizer,
-    ExpmSpec,
+    DimensionMismatch,
     FactoredOperator,
     NonFiniteInput,
     TensorOpConfig,
+    build_interaction_operator,
     build_tensor_operator,
+    coupling_matrix,
     diag_fast,
     forward,
+    interaction_trace,
     naive_reference,
     normalized_tensor_operator,
     operator_trace,
@@ -37,6 +40,32 @@ K = np.array([[1.0, 1.0], [0.0, 1.0]])
 V = np.array([[1.0, 2.0], [3.0, 4.0]])
 RUNNING = AttnInputs(Q, K, V)
 EYE_INPUTS = AttnInputs(np.eye(2), np.eye(2), V)
+
+
+# Every entry point that takes Q and K itself, without an AttnInputs.
+PAIR_ENTRY_POINTS = {
+    "score_matrix": score_matrix,
+    "build_tensor_operator": build_tensor_operator,
+    **{
+        f"normalized_tensor_operator-{mode}": (
+            lambda q, k, mode=mode: normalized_tensor_operator(q, k, normalization=mode)
+        )
+        for mode in ("trace", "diag", "row")
+    },
+    "operator_trace": operator_trace,
+    "diag_fast": diag_fast,
+    "coupling_matrix": coupling_matrix,
+    "build_interaction_operator": build_interaction_operator,
+    "interaction_trace": interaction_trace,
+}
+
+
+class TestEmptyOperands:
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)], ids=["n=0", "d=0"])
+    @pytest.mark.parametrize("entry", sorted(PAIR_ENTRY_POINTS))
+    def test_empty_q_and_k_are_rejected(self, entry, shape):
+        with pytest.raises(DimensionMismatch, match="need at least one token"):
+            PAIR_ENTRY_POINTS[entry](np.zeros(shape), np.zeros(shape))
 
 
 class TestBuildOperator:
@@ -78,8 +107,6 @@ class TestBuildOperator:
             TensorOpConfig(side="both")
         with pytest.raises(ValueError):
             normalized_tensor_operator(Q, K, normalization="l2")
-        with pytest.raises(ValueError):
-            TensorOpConfig(trace_epsilon=0.0)
 
 
 class TestDiagFast:
@@ -172,14 +199,13 @@ class TestFactoredPaths:
         out = tensor_attention_masked(inputs, TensorOpConfig(side=side))
         np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
 
-    @pytest.mark.parametrize("spec", [ExpmSpec(), ExpmSpec("taylor", taylor_terms=30)])
     @pytest.mark.parametrize("side", ["q", "k"])
     @pytest.mark.parametrize("complex_", [False, True])
     @pytest.mark.parametrize("n,d,d_v", [*FACTORED_SHAPES, (300, 8, 5)])
-    def test_expm_matches_scipy(self, spec, side, complex_, n, d, d_v):
+    def test_expm_matches_scipy(self, side, complex_, n, d, d_v):
         inputs = random_inputs(n, d, d_v=d_v, seed=n + d, complex_=complex_)
         expected = _materialized_expm(inputs, side)
-        out = tensor_attention_expm(inputs, TensorOpConfig(side=side), spec)
+        out = tensor_attention_expm(inputs, TensorOpConfig(side=side))
         np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
 
     def test_product_flavors_never_materialize(self, monkeypatch):
@@ -277,12 +303,6 @@ class TestLinearPath:
         with pytest.raises(DegenerateNormalizer):
             tensor_attention_linear(zeros)
 
-    def test_rejects_non_positive_epsilon(self):
-        zeros = AttnInputs(np.zeros((3, 2)), np.zeros((3, 2)), np.ones((3, 2)))
-        for eps in (0.0, -1.0):
-            with pytest.raises(ValueError, match="trace_epsilon"):
-                tensor_attention_linear(zeros, TensorOpConfig(trace_epsilon=eps))
-
 
 class TestReluPath:
     def test_non_negative_operator_reduces_to_naive(self):
@@ -358,13 +378,6 @@ class TestExpmPath:
         zeros = AttnInputs(np.zeros((2, 2)), np.zeros((2, 2)), V)
         with pytest.raises(DegenerateNormalizer):
             tensor_attention_expm(zeros)
-
-    def test_taylor_and_pade_agree(self):
-        for seed in range(5):
-            inputs = random_inputs(6, 3, seed=seed)
-            taylor = tensor_attention_expm(inputs, spec=ExpmSpec(method="taylor", taylor_terms=30))
-            pade = tensor_attention_expm(inputs, spec=ExpmSpec(method="pade"))
-            np.testing.assert_allclose(taylor, pade, atol=1e-8)
 
     def test_matches_loop_series(self):
         inputs = random_inputs(5, 3, seed=13)
