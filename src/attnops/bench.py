@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from statistics import median
 
 import numpy as np
@@ -27,9 +27,6 @@ from .errors import AttnOpsError, UnknownVariant
 from .registry import VARIANTS
 from .synth import random_inputs
 from .tensor_attention import diag_fast, score_matrix
-
-CSV_HEADER = "variant,n,d,seed,rep,wall_nanos,checksum"
-_RECORD_FIELDS = ("variant", "n", "d", "seed", "rep", "wall_nanos", "checksum")
 
 
 def array_checksum(a: np.ndarray) -> str:
@@ -64,7 +61,6 @@ class BenchConfig:
     variants: tuple
     n_values: tuple
     d: int = 32
-    d_v: int | None = None
     seeds: tuple = (0,)
     repetitions: int = 5
     warmup: int = 1
@@ -89,8 +85,6 @@ class BenchConfig:
             raise ValueError("n_values: token counts must be >= 1")
         if self.d < 1:
             raise ValueError("d: must be >= 1")
-        if self.d_v is not None and self.d_v < 1:
-            raise ValueError("d_v: must be >= 1")
         if not self.seeds:
             raise ValueError("seeds: need at least one seed")
         if self.repetitions < 3:
@@ -112,10 +106,14 @@ class BenchRecord:
     checksum: str
 
     def csv_row(self) -> str:
-        return f"{self.variant},{self.n},{self.d},{self.seed},{self.rep},{self.wall_nanos},{self.checksum}"
+        return ",".join(str(getattr(self, f)) for f in _RECORD_FIELDS)
 
     def json_object(self) -> str:
         return json.dumps({f: getattr(self, f) for f in _RECORD_FIELDS})
+
+
+_RECORD_FIELDS = tuple(f.name for f in fields(BenchRecord))
+CSV_HEADER = ",".join(_RECORD_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -146,7 +144,7 @@ def run_bench(config: BenchConfig) -> tuple[list, BenchSummary]:
         fn = targets[variant]
         for n in config.n_values:
             for seed in config.seeds:
-                inputs = random_inputs(n, config.d, d_v=config.d_v, seed=seed)
+                inputs = random_inputs(n, config.d, seed=seed)
                 for _ in range(config.warmup):
                     fn(inputs)
                 for rep in range(config.repetitions):
@@ -209,7 +207,7 @@ def write_records(records, path: str, format: str = "csv") -> None:
 
 
 _LIST_KEYS = {"variants", "n_values", "seeds"}
-_INT_KEYS = {"d", "d_v", "repetitions", "warmup"}
+_INT_KEYS = {"d", "repetitions", "warmup"}
 
 
 def parse_config_text(text: str, overrides: dict | None = None) -> BenchConfig:
@@ -241,10 +239,8 @@ def parse_config_text(text: str, overrides: dict | None = None) -> BenchConfig:
                 values[key] = int(value)
             except ValueError:
                 raise AttnOpsError(f"{key}: expected an integer, got {value!r}") from None
-        elif key == "format":
+        elif key in ("format", "output_path"):
             values[key] = value
-        elif key in ("out", "output_path"):
-            values["output_path"] = value
         else:
             raise AttnOpsError(f"unknown config key {key!r}")
     values.update(overrides or {})

@@ -19,6 +19,18 @@ from .verify import run_verify
 from .vit import vit_forward, vit_init
 
 
+def _int_at_least(low: int):
+    """An argparse ``type`` that reads an integer and rejects one below ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse reports "invalid int value" for non-integers
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="attnops",
@@ -33,18 +45,21 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="plant a wrong vectorization convention to prove failures are detected",
     )
-    verify.add_argument("--seed", type=int, default=2024)
+    verify.add_argument("--seed", type=_int_at_least(0), default=2024)
+    verify.set_defaults(run=_cmd_verify)
 
     bench = sub.add_parser("bench", help="time kernels over a token-count sweep")
     bench.add_argument("--config", required=True, help="flat key=value config file")
     bench.add_argument("--format", choices=("csv", "jsonl"), default=None)
     bench.add_argument("--out", default=None, help="output path for the record stream")
+    bench.set_defaults(run=_cmd_bench)
 
     demo = sub.add_parser("demo", help="run one encoder forward pass and print a summary")
-    demo.add_argument("--mechanism", default="softmax")
-    demo.add_argument("--seed", type=int, default=0)
-    demo.add_argument("--n", type=int, default=4, help="number of patches")
-    demo.add_argument("--d", type=int, default=8, help="model width")
+    demo.add_argument("--mechanism", default="softmax", choices=variant_ids())
+    demo.add_argument("--seed", type=_int_at_least(0), default=0)
+    demo.add_argument("--n", type=_int_at_least(1), default=4, help="number of patches")
+    demo.add_argument("--d", type=_int_at_least(1), default=8, help="model width")
+    demo.set_defaults(run=_cmd_demo)
 
     return parser
 
@@ -82,26 +97,7 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-_USAGE = {
-    "verify": "usage: attnops verify [--negative-control] [--seed <u64>]",
-    "demo": "usage: attnops demo [--mechanism <id>] [--seed <u64>] [--n <N>] [--d <d>]",
-}
-
-
-def _usage_error(command: str, message: str) -> int:
-    print(message, file=sys.stderr)
-    print(_USAGE[command], file=sys.stderr)
-    return 2
-
-
 def _cmd_demo(args) -> int:
-    known = variant_ids()
-    if args.mechanism not in known:
-        return _usage_error(
-            "demo", f"unknown mechanism {args.mechanism!r}; choose one of {', '.join(known)}"
-        )
-    if args.n < 1 or args.d < 1:
-        return _usage_error("demo", f"--n and --d must be >= 1, got --n {args.n} --d {args.d}")
     try:
         params = vit_init(
             patch_dim=args.d,
@@ -127,15 +123,8 @@ def _cmd_demo(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command in _USAGE and args.seed < 0:
-        return _usage_error(args.command, f"--seed must be >= 0, got {args.seed}")
-    if args.command == "verify":
-        return _cmd_verify(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
-    return _cmd_demo(args)
+    args = _build_parser().parse_args(argv)
+    return args.run(args)
 
 
 if __name__ == "__main__":

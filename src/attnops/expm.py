@@ -4,9 +4,10 @@ Both methods share one scaling-and-squaring wrapper: when the 1-norm of the
 argument exceeds ``scaling_threshold`` the matrix is divided by a power of
 two, the series / rational approximant is evaluated there, and the result is
 squared back up.  Pass ``scaling_threshold=math.inf`` to evaluate the raw
-approximant.  The Pade step solves Q(A) X = P(A) with partial-pivot LU; the
-denominator is never inverted explicitly.  The empty matrix is its own
-exponential.
+approximant.  The Pade step checks the 1-norm condition of Q(A), which inverts
+it, then solves Q(A) X = P(A) with partial-pivot LU.  The empty matrix is its
+own exponential; a 1-norm too large to scale and an overflowed result raise
+``NonFiniteInput``.
 
 ``matrix_exponential`` is the one exponential the attention variants use:
 the degree-(6, 6) Pade approximant at threshold 0.5, with no options.
@@ -20,8 +21,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dense import as_square
-from .errors import SingularDenominator
+from .dense import as_square, finite_result
+from .errors import NonFiniteInput, SingularDenominator
 
 DEFAULT_SCALING_THRESHOLD = 0.5
 _CONDITION_LIMIT = 1e12
@@ -34,7 +35,10 @@ def _one_norm(a: np.ndarray) -> float:
 def _squarings(norm1: float, threshold: float) -> int:
     if norm1 <= threshold or not math.isfinite(threshold):
         return 0
-    return max(0, math.ceil(math.log2(norm1 / threshold)))
+    log_ratio = math.log2(norm1 / threshold)  # inf when the norm or the ratio overflows
+    if log_ratio > 1023:  # s would reach 1024, and 2.0 ** 1024 overflows
+        raise NonFiniteInput(f"1-norm {norm1:.3e} is too large to scale", stage="expm scaling")
+    return max(0, math.ceil(log_ratio))
 
 
 def pade_coefficients(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -81,11 +85,13 @@ def _scaled_and_squared(a: np.ndarray, scaling_threshold: float, approximant) ->
         raise ValueError("scaling_threshold must be positive")
     if not a.size:
         return a.copy()
-    s = _squarings(_one_norm(a), scaling_threshold)
+    with np.errstate(over="ignore"):  # an overflowed norm is reported below
+        s = _squarings(_one_norm(a), scaling_threshold)
     out = approximant(a / (2.0**s))
-    for _ in range(s):
-        out = out @ out
-    return out
+    with np.errstate(over="ignore", invalid="ignore"):  # finite_result reports overflow
+        for _ in range(s):
+            out = out @ out
+    return finite_result(out, "matrix exponential")
 
 
 def expm_taylor(

@@ -27,6 +27,10 @@ from .errors import (
 
 _NAIVE_TOKEN_LIMIT = 256
 _KRON_ENTRY_LIMIT = 64
+_KRON_VEC_TOL = 1e-12  # pass bounds of the two identity reports
+_TRACE_IDENTITY_TOL = 1e-10
+_KERNEL_NORM_FLOOR = 1e-12  # floor on the kernel oracle's feature norms
+_EXPM_TERMS = 50  # Taylor terms of the matrix-exponential oracle
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +136,6 @@ class KronVecReport:
     outer_dev: float
     squared_outer_dev: float
     trace_dev: float
-    tol: float
 
     @property
     def max_deviation(self) -> float:
@@ -140,7 +143,7 @@ class KronVecReport:
 
     @property
     def passed(self) -> bool:
-        return self.max_deviation < self.tol
+        return self.max_deviation < _KRON_VEC_TOL
 
 
 def _loop_vec(m: np.ndarray, order: str) -> np.ndarray:
@@ -187,7 +190,7 @@ def _bijection_dev(vec_a, vec_b, kron_ab, a_shape, b_shape) -> float:
     return worst
 
 
-def kron_vec_check(q, k, tol: float = 1e-12, vec_order: str = "col") -> KronVecReport:
+def kron_vec_check(q, k, vec_order: str = "col") -> KronVecReport:
     """Verify the Kronecker / vectorization correspondence on small operands.
 
     ``vec_order="row"`` deliberately stacks the vectors in the wrong order and
@@ -222,7 +225,6 @@ def kron_vec_check(q, k, tol: float = 1e-12, vec_order: str = "col") -> KronVecR
         outer_dev=float(outer_dev),
         squared_outer_dev=float(squared_outer_dev),
         trace_dev=float(trace_dev),
-        tol=tol,
     )
 
 
@@ -245,16 +247,15 @@ class TraceIdentityReport:
     b_is_symmetric: bool
     general_dev: float
     symmetric_dev: float | None
-    tol: float
 
     @property
     def passed(self) -> bool:
-        if self.general_dev >= self.tol:
+        if self.general_dev >= _TRACE_IDENTITY_TOL:
             return False
-        return self.symmetric_dev is None or self.symmetric_dev < self.tol
+        return self.symmetric_dev is None or self.symmetric_dev < _TRACE_IDENTITY_TOL
 
 
-def trace_identity_report(a, b, tol: float = 1e-10) -> TraceIdentityReport:
+def trace_identity_report(a, b) -> TraceIdentityReport:
     a = as_matrix(a, "a")
     b = as_matrix(b, "b")
     if np.iscomplexobj(a) or np.iscomplexobj(b):
@@ -282,7 +283,6 @@ def trace_identity_report(a, b, tol: float = 1e-10) -> TraceIdentityReport:
         b_is_symmetric=symmetric,
         general_dev=float(general_dev),
         symmetric_dev=None if symmetric_dev is None else float(symmetric_dev),
-        tol=tol,
     )
 
 
@@ -311,13 +311,13 @@ def _naive_softmax(inputs: AttnInputs) -> np.ndarray:
     return out
 
 
-def _naive_kernel(inputs: AttnInputs, epsilon: float = 1e-12) -> np.ndarray:
+def _naive_kernel(inputs: AttnInputs) -> np.ndarray:
     q, k, v = inputs.q, inputs.k, inputs.v
     n, d = q.shape
 
     def features(row):
         norm = math.sqrt(sum(float(x) ** 2 for x in row))
-        norm = max(norm, epsilon)
+        norm = max(norm, _KERNEL_NORM_FLOOR)
         return [1.0] + [float(x) / norm for x in row]
 
     fq = [features(q[i]) for i in range(n)]
@@ -369,15 +369,13 @@ def _naive_elem_exp(inputs: AttnInputs, side: str = "q", hadamard: bool = False)
     return _loop_matmul(kernel, inputs.v)
 
 
-def _naive_expm(
-    inputs: AttnInputs, side: str = "q", hadamard: bool = False, terms: int = 50
-) -> np.ndarray:
+def _naive_expm(inputs: AttnInputs, side: str = "q", hadamard: bool = False) -> np.ndarray:
     t_hat = _normalize_operator(_loop_operator(inputs.q, inputs.k, side, hadamard), "trace")
     n = t_hat.shape[0]
     acc = np.eye(n, dtype=t_hat.dtype)
     power = np.eye(n, dtype=t_hat.dtype)
     factorial = 1.0
-    for k in range(1, terms + 1):
+    for k in range(1, _EXPM_TERMS + 1):
         power = _loop_matmul(power, t_hat)
         factorial *= k
         acc = acc + power / factorial
@@ -516,7 +514,7 @@ def loop_layer_norm(x, scale, shift, eps: float) -> np.ndarray:
 # finite-difference probe
 
 
-def fd_probe(variant, inputs: AttnInputs, probe_u, probe_w, h: float = 1e-5, **options) -> np.ndarray:
+def fd_probe(variant, inputs: AttnInputs, probe_u, probe_w, h: float = 1e-5) -> np.ndarray:
     """Central-difference gradient of u^T f(Q, K, V) w with respect to vec(Q).
 
     ``variant`` is a registry id or a callable taking AttnInputs.  The
@@ -526,14 +524,9 @@ def fd_probe(variant, inputs: AttnInputs, probe_u, probe_w, h: float = 1e-5, **o
         raise ValueError(f"step h={h} outside [1e-7, 1e-3]")
     if inputs.is_complex:
         raise ComplexNotSupported("finite differences probe real inputs only")
-    if callable(variant):
-        def fn(attn: AttnInputs) -> np.ndarray:
-            return variant(attn, **options) if options else variant(attn)
-    else:
-        from .registry import forward
+    from .registry import forward
 
-        def fn(attn: AttnInputs) -> np.ndarray:
-            return forward(variant, attn, **options)
+    fn = variant if callable(variant) else (lambda attn: forward(variant, attn))
     u = as_vector(probe_u, "probe_u")
     w = as_vector(probe_w, "probe_w")
     n, d = inputs.n, inputs.d

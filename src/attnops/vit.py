@@ -13,9 +13,11 @@ for comparing mechanisms end to end.
 Allocation discipline: the mixer gets a layer-normed copy of the tokens and
 its output is only read, since a callable mixer may keep either.  The rest of a
 block runs over row tiles, so no n-by-hidden array exists; the last tile absorbs
-a one-row remainder, which numpy would send to gemv.  The row-local steps keep
-their bytes, and the GEMMs keep them where BLAS rounds a row tile as it rounds
-the whole matrix (OpenBLAS does at the benchmark shapes, not at all shapes).
+a one-row remainder, which numpy would send to gemv.  Gelu runs in place on each
+tile (``_gelu_into``: ``gelu``'s one-line formula, ufunc by ufunc, operands in its
+order).  The row-local steps keep their bytes, and the GEMMs keep them where BLAS
+rounds a row tile as it rounds the whole matrix (OpenBLAS does at the benchmark
+shapes, not at all shapes).
 
 Import cost: ``import attnops`` loads only numpy.  scipy.special, whose ``erf``
 ufunc gelu runs, takes several times longer to import than the rest of the
@@ -39,8 +41,8 @@ from .errors import DimensionMismatch
 from .registry import forward as registry_forward
 
 LAYER_NORM_EPS = 1e-5
-# Elements per gelu block: the block and its temporaries stay in cache.
-_GELU_BLOCK = 16384
+# Hidden activations per MLP row tile: a tile and its temporaries stay in cache.
+_TILE_ELEMENTS = 16384
 _SQRT2 = math.sqrt(2.0)
 
 
@@ -185,15 +187,8 @@ def _erf() -> np.ufunc:
     return erf
 
 
-@functools.cache
-def _gelu_dtype(dtype: np.dtype) -> np.dtype:
-    """The dtype the one-line gelu formula returns for ``dtype`` input."""
-    x = np.empty(0, dtype)
-    return (0.5 * x * (1.0 + _erf()(x / _SQRT2))).dtype
-
-
 def _gelu_into(x: np.ndarray, out: np.ndarray) -> None:
-    """Write the gelu of one block ``x`` into ``out``, of gelu's dtype; ``out`` may be ``x``."""
+    """Write the gelu of one tile ``x`` into ``out``, of gelu's dtype; ``out`` may be ``x``."""
     half = 0.5 * x
     np.divide(x, _SQRT2, out=out)
     _erf()(out, out=out)
@@ -202,29 +197,23 @@ def _gelu_into(x: np.ndarray, out: np.ndarray) -> None:
 
 
 def gelu(x) -> np.ndarray:
-    """Gaussian error linear unit, ``0.5 * x * (1 + erf(x / sqrt(2)))``.
-
-    Written as one expression, the formula allocates five full-size arrays and
-    pays for the first touch of each; at encoder sizes that costs about as much
-    as ``erf`` itself.  Here one output is allocated and the same ufuncs
-    run over blocks of ``_GELU_BLOCK`` elements whose temporaries stay in cache.
-    Every element goes through the same operations, operands in the same order,
-    so the bytes, dtype and type match the one-line formula.  ``x`` is not
-    modified.
-    """
+    """Gaussian error linear unit, ``0.5 * x * (1 + erf(x / sqrt(2)))``."""
     x = np.asarray(x)
-    flat = x.reshape(-1)
-    out = np.empty(flat.shape, _gelu_dtype(x.dtype))
-    for start in range(0, flat.size, _GELU_BLOCK):
-        _gelu_into(flat[start:start + _GELU_BLOCK], out[start:start + _GELU_BLOCK])
-    return out.reshape(x.shape) if x.ndim else out[0]
+    return 0.5 * x * (1.0 + _erf()(x / _SQRT2))
+
+
+def _tile_starts(n: int, hidden: int) -> range:
+    """First rows of the MLP row tiles of ``n`` tokens; ``.step`` rows each, the last
+    tile running to row ``n``.  A tile holds about ``_TILE_ELEMENTS`` hidden activations."""
+    return range(0, max(1, n - 1), max(2, _TILE_ELEMENTS // max(1, hidden)))
 
 
 def _mlp_half(tokens: np.ndarray, mixed: np.ndarray, b: BlockParams) -> np.ndarray:
     """``tokens + mixed`` plus the MLP of its LN2, tile by tile; buffers get each step's dtype."""
     tokens = tokens.astype(np.result_type(mixed, tokens), copy=False)  # the forward's own array
     n, width = tokens.shape
-    tile = max(2, _GELU_BLOCK // max(1, b.mlp_w1.shape[1]))
+    starts = _tile_starts(n, b.mlp_w1.shape[1])
+    tile = starts.step
     hidden_type = np.result_type(tokens, b.ln2_scale, b.ln2_shift, b.mlp_w1)
     out_type = np.result_type(hidden_type, b.mlp_b1, b.mlp_w2)  # gelu keeps a float64+ dtype
     # one tile each, with room for a last tile that absorbs a one-row remainder
@@ -232,7 +221,7 @@ def _mlp_half(tokens: np.ndarray, mixed: np.ndarray, b: BlockParams) -> np.ndarr
         (width, tokens.dtype), (b.mlp_w1.shape[1], hidden_type), (b.mlp_w2.shape[1], out_type)))
     result_type = np.result_type(out_type, b.mlp_b2)
     result = tokens if result_type == tokens.dtype else np.empty(tokens.shape, result_type)
-    bounds = [0, *range(tile, n - 1, tile), n]
+    bounds = [*starts, n]
     for start, stop in zip(bounds, bounds[1:]):
         x, rows = tokens[start:stop], stop - start
         # a parameter with a row per token is broadcast tile by tile, as the whole array was

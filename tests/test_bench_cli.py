@@ -158,6 +158,17 @@ class TestConfigText:
                                    {"format": "jsonl"})
         assert config.format == "jsonl"
 
+    @pytest.mark.parametrize("key", ["d_v=3", "out=records.csv"])
+    def test_retired_keys_are_unknown(self, key):
+        with pytest.raises(AttnOpsError, match="unknown config key"):
+            parse_config_text(f"variants=softmax\nn_values=8\n{key}\n")
+
+    def test_file_keys_are_the_config_fields(self):
+        config = parse_config_text("variants=softmax\nn_values=8\noutput_path=records.csv\n")
+        assert config.output_path == "records.csv"
+        with pytest.raises(TypeError):
+            BenchConfig(variants=("softmax",), n_values=(8,), d_v=3)
+
     def test_errors_name_the_field(self):
         with pytest.raises(AttnOpsError, match="n_values"):
             parse_config_text("variants=softmax\nn_values=eight\n")
@@ -242,24 +253,41 @@ class TestCli:
     def test_demo_tensor_interaction_enforces_square_values(self, capsys):
         assert main(["demo", "--mechanism", "interaction"]) == 0
 
+    @staticmethod
+    def usage_exit(argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
     def test_demo_unknown_mechanism(self, capsys):
-        assert main(["demo", "--mechanism", "warp"]) == 2
+        self.usage_exit(["demo", "--mechanism", "warp"])
         assert "usage" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--n", "--d"])
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_demo_rejects_non_positive_sizes(self, flag, value, capsys):
-        assert main(["demo", flag, value]) == 2
+        self.usage_exit(["demo", flag, value])
         captured = capsys.readouterr()
         assert "must be >= 1" in captured.err
         assert "usage: attnops demo" in captured.err
         assert captured.out == ""
 
+    def test_demo_rejects_a_non_integer_size(self, capsys):
+        self.usage_exit(["demo", "--n", "four"])
+        assert "argument --n: invalid int value: 'four'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["verify", "demo"])
     def test_negative_seed_is_usage_error(self, command, capsys):
-        assert main([command, "--seed", "-1"]) == 2
+        self.usage_exit([command, "--seed", "-1"])
         captured = capsys.readouterr()
-        assert "--seed must be >= 0, got -1" in captured.err
+        assert "argument --seed: must be >= 0, got -1" in captured.err
         assert f"usage: attnops {command}" in captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("key", ["d_v=3", "out=records.csv"])
+    def test_bench_rejects_retired_config_keys(self, key, tmp_path, capsys):
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text(f"variants=tensor_linear\nn_values=8\n{key}\n")
+        assert main(["bench", "--config", str(cfg)]) == 2
+        assert "unknown config key" in capsys.readouterr().err

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 from attnops import (
+    NonFiniteInput,
     NotSquare,
     SingularDenominator,
     expm_pade,
@@ -159,3 +160,18 @@ class TestScalingAndSquaring:
     def test_matrix_exponential_is_the_default_pade(self):
         a = _random_contraction(np.random.default_rng(6), 4) * 8.0
         assert matrix_exponential(a).tobytes() == expm_pade(a, 6, 6, 0.5).tobytes()
+
+    @pytest.mark.parametrize("expm", [expm_taylor, expm_pade, matrix_exponential])
+    @pytest.mark.parametrize("a,stage", [
+        (np.full((2, 2), 1e308), "expm scaling"),
+        ([[6e307]], "expm scaling"),  # needs 1024 halvings, and 2.0 ** 1024 overflows
+        ([[800.0]], "matrix exponential"),
+    ], ids=["norm overflows", "halvings overflow", "result overflows"])
+    def test_overflow_is_a_typed_error(self, expm, a, stage):
+        with pytest.raises(NonFiniteInput) as exc:
+            expm(a)
+        assert exc.value.stage == stage
+
+    @pytest.mark.parametrize("expm", [expm_taylor, expm_pade])
+    def test_underflow_to_zero_is_a_result(self, expm):
+        assert expm([[-800.0]]).tobytes() == np.zeros((1, 1)).tobytes()

@@ -15,7 +15,29 @@ from attnops import (
     tensor_attention_naive,
     trace_identity_report,
 )
-from attnops.oracles import loop_gelu, loop_layer_norm
+from attnops.oracles import KronVecReport, TraceIdentityReport, loop_gelu, loop_layer_norm
+from attnops.verify import _quadratic_form_floor
+
+
+# Tolerances, iteration counts and option pass-throughs that are constants, not arguments.
+RETIRED = {
+    "kron_vec_check tol": lambda: kron_vec_check(np.eye(2), np.eye(2), tol=1e-3),
+    "KronVecReport tol": lambda: KronVecReport(0.0, 0.0, 0.0, 0.0, tol=1e-3),
+    "trace_identity_report tol": lambda: trace_identity_report(np.eye(2), np.eye(2), tol=1e-3),
+    "TraceIdentityReport tol": lambda: TraceIdentityReport(1.0, 1.0, 1.0, True, 0.0, 0.0, tol=1e-3),
+    "kernel epsilon": lambda: naive_reference(random_inputs(2, 2, seed=0), "kernel", epsilon=1e-6),
+    "expm terms": lambda: naive_reference(random_inputs(2, 2, seed=0), "tensor_expm", terms=10),
+    "fd_probe options": lambda: fd_probe(
+        "tensor_naive", random_inputs(2, 2, seed=0), np.ones(2), np.ones(2), side="k"),
+    "quadratic form probes": lambda: _quadratic_form_floor(
+        np.eye(2), np.random.default_rng(0), probes=5),
+}
+
+
+@pytest.mark.parametrize("name", list(RETIRED))
+def test_retired_settable_value_is_rejected(name):
+    with pytest.raises(TypeError):
+        RETIRED[name]()
 
 
 class TestKronVecCheck:

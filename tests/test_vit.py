@@ -56,9 +56,9 @@ def reference_forward(params, patches, gemms=None):
     return reference_layer_norm(tokens[:1], params.head_scale, params.head_shift)[0]
 
 
-# At this hidden width the MLP runs over tiles of TILE rows (the rule in ``vit._mlp_half``).
+# At this hidden width the MLP runs over tiles of TILE rows (the rule in ``vit._tile_starts``).
 HIDDEN = 128
-TILE = max(2, vit_module._GELU_BLOCK // HIDDEN)
+TILE = vit_module._tile_starts(0, HIDDEN).step
 # One patch, a single partial tile, either side of one tile (TILE + 1 leaves a one-row
 # remainder for the last tile to absorb), and two tiles plus that remainder.
 TOKEN_COUNTS = (2, 10, TILE - 1, TILE, TILE + 1, 2 * TILE + 1)
@@ -99,11 +99,9 @@ def assert_same_bytes(got, expected):
 def _tiles_round_like_whole(x, w, hidden):
     """Whether BLAS rounds every MLP row tile of ``x @ w`` exactly as the whole product.
 
-    The tiles are the ones ``vit._mlp_half`` should use: ``max(2, _GELU_BLOCK // hidden)``
-    rows, with a one-row remainder absorbed by the last tile.
+    The tiles are the ones ``vit._mlp_half`` uses, from ``vit._tile_starts``.
     """
-    tile = max(2, vit_module._GELU_BLOCK // max(1, hidden))
-    bounds = [0, *range(tile, len(x) - 1, tile), len(x)]
+    bounds = [*vit_module._tile_starts(len(x), hidden), len(x)]
     whole = x @ w
     return all(np.array_equal(x[a:b] @ w, whole[a:b]) for a, b in zip(bounds, bounds[1:]))
 
@@ -284,6 +282,15 @@ class TestForward:
         expected = reference_forward(params, patches, gemms)
         assert_matches_reference(vit_forward(params, patches), expected, gemms)
 
+    def test_tile_rule_and_one_row_remainder(self):
+        """TILE rows per tile, at least two; a single leftover row joins the last tile,
+        since numpy would send a one-row product to gemv, which rounds unlike gemm."""
+        starts = vit_module._tile_starts
+        assert [list(starts(n, HIDDEN)) for n in (1, TILE, TILE + 1, TILE + 2, 2 * TILE + 1)] == [
+            [0], [0], [0], [0, TILE], [0, TILE]]
+        assert starts(1, 10**6).step == 2
+        assert starts(1, 0).step == vit_module._TILE_ELEMENTS
+
     def test_mixer_inputs_are_not_written_into(self):
         """A callable mixer may keep its inputs; the forward pass must not touch them."""
         kept = []
@@ -387,7 +394,7 @@ class TestLayerNorm:
 
 def gelu_inputs():
     rng = np.random.default_rng(14)
-    block = vit_module._GELU_BLOCK
+    block = 2**14
     return {
         "python float": 0.75,
         "python int": -2,
@@ -417,12 +424,6 @@ class TestGelu:
             got = gelu(x)
         assert_same_bytes(got, expected)
         np.testing.assert_array_equal(x, before)
-
-    def test_inputs_cross_block_boundaries(self):
-        block = vit_module._GELU_BLOCK
-        sizes = [np.asarray(x).size for x in gelu_inputs().values()]
-        assert any(size > 2 * block for size in sizes)
-        assert any(block < size < 2 * block for size in sizes)
 
     def test_zero_maps_to_zero(self):
         assert gelu(0) == 0
