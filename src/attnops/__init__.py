@@ -50,7 +50,6 @@ from .errors import (
 from .expm import (
     expm_pade,
     expm_taylor,
-    matrix_exponential,
     pade_coefficients,
 )
 from .oracles import (

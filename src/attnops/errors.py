@@ -54,7 +54,7 @@ class DegenerateDenominator(AttnOpsError, ArithmeticError):
 
 
 class SingularDenominator(AttnOpsError, ArithmeticError):
-    """The rational-approximant denominator is numerically singular.
+    """Only ``expm_pade`` raises this: its rational-approximant denominator is singular.
 
     ``condition`` is its 1-norm condition estimate and ``limit`` the bound it exceeded.
     """

@@ -9,13 +9,12 @@ it, then solves Q(A) X = P(A) with partial-pivot LU.  The empty matrix is its
 own exponential; a 1-norm too large to scale and an overflowed result raise
 ``NonFiniteInput``.
 
-``matrix_exponential`` is the one exponential the attention variants use:
-the degree-(6, 6) Pade approximant at threshold 0.5, with no options.
+No attention variant calls this module (``tensor_expm`` goes through ``eigh``);
+it serves the exponential identities of ``verify``, the tests and the demos.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 
@@ -46,15 +45,8 @@ def pade_coefficients(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
 
     Obtained by matching the exponential's Taylor series through order m + n,
     which fixes p_j = (m+n-j)! m! / ((m+n)! j! (m-j)!) and the mirrored,
-    sign-alternating q_j.  The arrays are fresh copies the caller may modify.
+    sign-alternating q_j.  The arrays are fresh; the caller may modify them.
     """
-    p, q = _pade_coefficients(m, n)
-    return p.copy(), q.copy()
-
-
-@functools.cache
-def _pade_coefficients(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``pade_coefficients``, computed once per degree pair and returned read-only."""
     if m < 1 or n < 1:
         raise ValueError("pade degrees must be >= 1")
     fact = math.factorial
@@ -64,10 +56,7 @@ def _pade_coefficients(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
         (-1) ** j * Fraction(fact(m + n - j) * fact(n), total * fact(j) * fact(n - j))
         for j in range(n + 1)
     ]
-    coeffs = np.array([float(c) for c in p]), np.array([float(c) for c in q])
-    for c in coeffs:
-        c.setflags(write=False)
-    return coeffs
+    return np.array([float(c) for c in p]), np.array([float(c) for c in q])
 
 
 def _polyval_matrix(coeffs: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -124,7 +113,7 @@ def expm_pade(
 ) -> np.ndarray:
     """Solve Q(A) X = P(A) for the degree-(m, n) approximant, with scaling-and-squaring."""
     a = as_square(a, "a")
-    p_coeffs, q_coeffs = _pade_coefficients(m, n)
+    p_coeffs, q_coeffs = pade_coefficients(m, n)
 
     def rational(x):
         p_mat = _polyval_matrix(p_coeffs, x)
@@ -141,8 +130,3 @@ def expm_pade(
         return np.linalg.solve(q_mat, p_mat)
 
     return _scaled_and_squared(a, scaling_threshold, rational)
-
-
-def matrix_exponential(a) -> np.ndarray:
-    """exp(A) as the attention variants compute it: ``expm_pade`` at its defaults."""
-    return expm_pade(a)

@@ -17,7 +17,7 @@ from it:
 - ``tensor_masked`` applies tril(T) by a chunked prefix scan in O(n c d),
   with c = ``_SCAN_BLOCK_ROWS``, never forming an n-by-n array;
 - ``tensor_expm`` applies expm(T / tr T) in O(n d^2 + d^3) through the
-  d-by-d function phi_1 of the small matrix W^H W G / tr T;
+  d-by-d Hermitian B^H B, where T = B B^H, and its ``eigh``;
 - ``tensor_naive``/``diag``/``row`` and ``tensor_relu``/``tensor_elem_exp``
   materialize T, at O(n^2 d) from the factors (``materialize``), and then
   pay O(n^2 d_v) to apply it.
@@ -44,7 +44,6 @@ import numpy as np
 from .attention import AttnInputs, conform_pair, require_real
 from .dense import finite_result
 from .errors import DegenerateNormalizer, NonFiniteInput
-from .expm import matrix_exponential
 
 Q_SIDE = "q"
 K_SIDE = "k"
@@ -105,8 +104,8 @@ class FactoredOperator:
 
     Query side: W = Q and G = K^H K, so T = A A^H with A = Q K^H; the key
     side swaps the roles of Q and K, giving A^H A.  The rank is at most d,
-    and the action, trace and diagonal each cost O(n d^2); ``materialize``
-    costs O(n^2 d).
+    and the action, trace, diagonal and exponential each cost O(n d^2), the
+    exponential plus O(d^3); ``materialize`` costs O(n^2 d).
     """
 
     w: np.ndarray
@@ -177,24 +176,33 @@ class FactoredOperator:
                 state = state + w_h[:, rows] @ v[rows]
         return out
 
-    def expm_apply(self, v: np.ndarray, scale: float) -> np.ndarray:
-        """expm(T / scale) v = v + U phi_1(W^H U) W^H v, with U = W G / scale.
+    def expm_apply(self, v: np.ndarray) -> np.ndarray:
+        """expm(T / tau) v, tau = tr T, as v + B U diag(phi_1(mu)) U^H B^H v / tau.
 
-        phi_1(z) = (e^z - 1) / z is read off the top-right d-by-d block of
-        expm([[W^H U, I], [0, 0]]), so the exponential runs on a 2d-by-2d
-        matrix.  W is divided, and U multiplied, by the power of two just
-        above W's largest entry: exact, and it keeps W^H v finite wherever
-        the materialized expm(T / scale) v is.
+        T = B B^H with B = W L, where G = L L^H is the Cholesky factorization,
+        or, for a singular G (as at n < d), comes from G's clamped ``eigh``
+        spectrum.  ``eigh`` gives H / tau = U diag(mu) U^H for H = B^H B, whose
+        trace is tau, so mu lies in [0, 1] and phi_1(z) = (e^z - 1) / z needs no
+        scaling, squaring or denominator.  L is divided by the powers of two just
+        above the largest entries of W and L: exact, and B^H v then overflows
+        only if v nearly does.  tau is scaled back in Python floats (inf, never a
+        warning, on overflow) for ``checked_normalizer``.
         """
-        balance = 2.0 ** np.frexp(np.max(np.abs(self.w)))[1]
-        u = (self.w @ self.gram) / scale * balance
-        w_h = self.w.conj().T / balance
-        d = u.shape[1]
-        block = np.zeros((2 * d, 2 * d), dtype=u.dtype)
-        block[:d, :d] = w_h @ u
-        block[:d, d:] = np.eye(d)
-        phi = matrix_exponential(block)[:d, d:]
-        return v + u @ (phi @ (w_h @ v))
+        gram = finite_result(self.gram, "Gram matrix")  # eigh fails to converge on inf
+        try:
+            factor = np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:  # singular G, as at n < d: use its clamped spectrum
+            lam, vecs = np.linalg.eigh(gram)
+            factor = vecs * np.sqrt(np.maximum(lam, 0.0))
+        shift = sum(math.frexp(np.max(np.abs(m)))[1] for m in (self.w, factor))
+        shift = min(max(shift, -1022), 1023)  # keeps 2.0 ** +-shift finite
+        b = self.w @ (factor * 2.0**-shift)
+        h = b.conj().T @ b
+        tau = float(np.trace(h).real)
+        checked_normalizer(tau * 2.0**shift * 2.0**shift, self.w.shape[0])
+        mu, u = np.linalg.eigh(h / tau)
+        phi = np.divide(np.expm1(mu), mu, out=np.ones_like(mu), where=mu != 0)
+        return v + b @ (u @ ((phi / tau)[:, None] * (u.conj().T @ (b.conj().T @ v))))
 
 
 def flavored_product(m: np.ndarray, side: str, hadamard: bool) -> np.ndarray:
@@ -317,16 +325,18 @@ def tensor_attention_elem_exp(
 def tensor_attention_expm(inputs: AttnInputs, cfg: TensorOpConfig = TensorOpConfig()) -> np.ndarray:
     """Apply the matrix exponential of the trace-normalized operator to v.
 
-    The product flavors never form T: the exponential runs on a 2d-by-2d
-    matrix (``FactoredOperator.expm_apply``), O(n d^2 + d^3) in all.  The
-    elementwise flavor exponentiates the materialized n-by-n operator.
+    T / tr T is Hermitian, so both flavors go through ``eigh``.  The product
+    flavors never form T (``FactoredOperator.expm_apply``, O(n d^2 + d^3));
+    the elementwise flavor gives V (e^lambda o (V^H v)) from ``eigh`` of the
+    materialized operator, O(n^3).
     """
     if cfg.hadamard:
         t, total = _operator_and_trace(inputs.q, inputs.k, cfg)
-        out = matrix_exponential(t / total) @ inputs.v
+        lam, vecs = np.linalg.eigh(finite_result(t / total, "normalized operator"))
+        with np.errstate(over="ignore", invalid="ignore"):  # finite_result reports overflow
+            out = vecs @ (np.exp(lam)[:, None] * (vecs.conj().T @ inputs.v))
     else:
-        op, total = _factored_and_trace(inputs, cfg)
-        out = op.expm_apply(inputs.v, total)
+        out = FactoredOperator.of(inputs.q, inputs.k, cfg).expm_apply(inputs.v)
     return finite_result(out, "matrix-exponential tensor attention")
 
 

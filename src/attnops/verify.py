@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import linear_kernel_attention, softmax_attention
+from .attention import AttnInputs, linear_kernel_attention, softmax_attention
 from .dense import gemm, kron, partial_trace, trace
 from .expm import expm_pade, expm_taylor
 from .oracles import (
@@ -355,6 +355,21 @@ def run_verify(seed: int = 2024, negative_control: bool = False) -> VerifyReport
             dev = max(dev, np.max(np.abs(fast - slow)) / np.max(np.abs(slow)))
     checks.append(_result("factored masked and expm paths equal the materialized formulas",
                           dev, 1e-12, detail="masked n=300, expm n=48; relative to the largest entry"))
+
+    # near-orthogonal Q and K: each query row is orthogonal to its key row plus 1e-5 times
+    # it, so tr T is tiny next to |Q|^2 |K|^2; at n = 1, T / tr T = 1 and the answer is e v
+    dev = 0.0
+    for n in (1, 2):
+        x = random_inputs(n, 4, seed=seed + 360 + n, complex_=True)
+        along = np.sum(x.q * x.k.conj(), axis=1, keepdims=True) / np.sum(np.abs(x.k) ** 2, axis=1,
+                                                                        keepdims=True)
+        near = AttnInputs(x.q - along * x.k + 1e-5 * x.k, x.k, x.v)
+        for side in ("q", "k"):
+            fast = tensor_attention_expm(near, TensorOpConfig(side=side))
+            slow = naive_reference(near, "tensor_expm", side=side)
+            dev = max(dev, np.max(np.abs(fast - slow)) / np.max(np.abs(slow)))
+    checks.append(_result("near-orthogonal Q and K: expm path equals the loop oracle", dev, 1e-12,
+                          detail="n=1 and 2, complex; relative to the largest entry"))
 
     # interaction-specific identities
     dev = 0.0

@@ -10,7 +10,6 @@ from attnops import (
     SingularDenominator,
     expm_pade,
     expm_taylor,
-    matrix_exponential,
     pade_coefficients,
 )
 
@@ -141,7 +140,7 @@ class TestSharedProperties:
 
 
 class TestScalingAndSquaring:
-    @pytest.mark.parametrize("expm", [expm_taylor, expm_pade, matrix_exponential])
+    @pytest.mark.parametrize("expm", [expm_taylor, expm_pade])
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
     def test_empty_matrix_is_its_own_exponential(self, expm, dtype):
         empty = np.zeros((0, 0), dtype=dtype)
@@ -157,11 +156,7 @@ class TestScalingAndSquaring:
             with pytest.raises(ValueError, match="scaling_threshold"):
                 expm(np.zeros((0, 0)), scaling_threshold=threshold)
 
-    def test_matrix_exponential_is_the_default_pade(self):
-        a = _random_contraction(np.random.default_rng(6), 4) * 8.0
-        assert matrix_exponential(a).tobytes() == expm_pade(a, 6, 6, 0.5).tobytes()
-
-    @pytest.mark.parametrize("expm", [expm_taylor, expm_pade, matrix_exponential])
+    @pytest.mark.parametrize("expm", [expm_taylor, expm_pade])
     @pytest.mark.parametrize("a,stage", [
         (np.full((2, 2), 1e308), "expm scaling"),
         ([[6e307]], "expm scaling"),  # needs 1024 halvings, and 2.0 ** 1024 overflows

@@ -1,4 +1,4 @@
-"""scipy.special is imported only when an encoder is built or gelu first runs.
+"""scipy is imported only when an encoder is built or gelu first runs.
 
 Each check runs in a fresh interpreter: the other test modules import scipy
 themselves, so in-process ``sys.modules`` would hide a module-level import.
@@ -21,7 +21,7 @@ def run_fresh(code: str) -> None:
     assert result.returncode == 0, result.stderr[-2000:]
 
 
-def test_operators_and_bench_targets_load_no_scipy_special():
+def test_operators_and_bench_targets_load_no_scipy():
     run_fresh("""
         import sys
         import numpy as np
@@ -34,7 +34,8 @@ def test_operators_and_bench_targets_load_no_scipy_special():
             forward(vid, inputs)
         for target in bench_targets().values():
             target(inputs)
-        assert "scipy.special" not in sys.modules
+        loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+        assert not loaded, loaded
     """)
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import attnops.expm as expm_module
 import attnops.tensor_attention as tensor_attention_module
 
 from attnops import (
@@ -171,9 +172,28 @@ class TestFactoredOperator:
 FACTORED_SHAPES = [(16, 4, 3), (1, 3, 2), (3, 5, 5)]
 
 
-def _materialized_expm(inputs, side):
-    t = build_tensor_operator(inputs.q, inputs.k, TensorOpConfig(side=side))
+def _materialized_expm(inputs, side, hadamard=False):
+    t = build_tensor_operator(inputs.q, inputs.k, TensorOpConfig(side=side, hadamard=hadamard))
     return scipy.linalg.expm(t / np.trace(t).real) @ inputs.v
+
+
+# Both sides of the product flavor, then the elementwise flavor.
+EXPM_CONFIGS = [TensorOpConfig(side="q"), TensorOpConfig(side="k"), TensorOpConfig(hadamard=True)]
+
+
+def _near_orthogonal(n, d, offset, complex_, seed=0):
+    """``random_inputs`` with each query row made orthogonal to its key row, then offset * k added.
+
+    The diagonal scores A[i, i] fall to offset |k_i|^2 while Q and K stay of
+    order one.  At n = 1 the trace is that one score squared, tiny next to
+    |Q|^2 |K|^2, and T / tr T = 1 exactly, so expm(T / tr T) v = e v.
+    """
+    x = random_inputs(n, d, seed=seed, complex_=complex_)
+    k = x.k
+    along = np.sum(x.q * k.conj(), axis=1, keepdims=True) / np.sum(
+        np.abs(k) ** 2, axis=1, keepdims=True
+    )
+    return AttnInputs(x.q - along * k + offset * k, k, x.v)
 
 
 class TestFactoredPaths:
@@ -206,6 +226,22 @@ class TestFactoredPaths:
         inputs = random_inputs(n, d, d_v=d_v, seed=n + d, complex_=complex_)
         expected = _materialized_expm(inputs, side)
         out = tensor_attention_expm(inputs, TensorOpConfig(side=side))
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+
+    @pytest.mark.parametrize("side", ["q", "k"])
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_expm_with_a_singular_gram(self, side, complex_):
+        # A zero feature column makes G exactly singular: Cholesky fails, and the
+        # clamped eigh spectrum factors G instead.
+        inputs = random_inputs(16, 4, d_v=3, seed=26, complex_=complex_)
+        q, k = inputs.q.copy(), inputs.k.copy()
+        q[:, -1] = k[:, -1] = 0.0
+        gram = FactoredOperator.of(q, k, TensorOpConfig(side=side)).gram
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(gram)
+        singular = AttnInputs(q, k, inputs.v)
+        expected = _materialized_expm(singular, side)
+        out = tensor_attention_expm(singular, TensorOpConfig(side=side))
         np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
 
     def test_product_flavors_never_materialize(self, monkeypatch):
@@ -385,6 +421,68 @@ class TestExpmPath:
             tensor_attention_expm(inputs), naive_reference(inputs, "tensor_expm"), atol=1e-10
         )
 
+    @pytest.mark.parametrize("side", ["q", "k"])
+    def test_near_orthogonal_single_token_matches_loop_oracle(self, side):
+        # tr T = 1.006e-12 passes the guard while |Q|^2 |K|^2 is of order one, the
+        # ratio that scaling and squaring a non-normal matrix amplifies rounding by.
+        inputs = _near_orthogonal(1, 4, 1e-7, complex_=True)
+        assert operator_trace(inputs.q, inputs.k) == pytest.approx(1.006e-12, rel=1e-3)
+        expected = naive_reference(inputs, "tensor_expm", side=side)
+        np.testing.assert_allclose(expected, np.e * inputs.v, rtol=1e-14)
+        out = tensor_attention_expm(inputs, TensorOpConfig(side=side))
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+
+    @pytest.mark.parametrize("side", ["q", "k"])
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_near_orthogonal_sweep_matches_scipy(self, side, complex_):
+        cfg = TensorOpConfig(side=side)
+        for n in (1, 2, 4, 300):
+            for offset in (1e-3, 1e-4, 1e-5, 1e-6, 1e-7):
+                inputs = _near_orthogonal(n, 8 if n == 300 else 4, offset, complex_, seed=n)
+                if operator_trace(inputs.q, inputs.k) < 1e-12 * n:
+                    with pytest.raises(DegenerateNormalizer):
+                        tensor_attention_expm(inputs, cfg)
+                    continue
+                expected = _materialized_expm(inputs, side)
+                np.testing.assert_allclose(
+                    tensor_attention_expm(inputs, cfg), expected,
+                    rtol=0, atol=1e-12 * np.abs(expected).max(), err_msg=f"n={n} offset={offset}",
+                )
+
+    def test_no_flavor_runs_the_pade_exponential(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran scaling and squaring")
+
+        monkeypatch.setattr(expm_module, "_scaled_and_squared", refuse)
+        inputs = random_inputs(128, 8, d_v=5, seed=25)
+        for cfg in EXPM_CONFIGS:
+            expected = _materialized_expm(inputs, cfg.side, cfg.hadamard)
+            np.testing.assert_allclose(
+                tensor_attention_expm(inputs, cfg), expected,
+                rtol=0, atol=1e-12 * np.abs(expected).max(), err_msg=str(cfg),
+            )
+
+    def test_elementwise_overflow_is_typed(self):
+        # tr T shrinks with the diagonal scores, so T / tr T has eigenvalues past 709
+        # and e^lambda overflows without a RuntimeWarning.
+        inputs = _near_orthogonal(128, 8, 0.004, complex_=False, seed=1)
+        with pytest.raises(NonFiniteInput) as exc:
+            tensor_attention_expm(inputs, TensorOpConfig(hadamard=True))
+        assert exc.value.stage == "matrix-exponential tensor attention"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the Gram and score products overflow
+    @pytest.mark.parametrize("cfg", EXPM_CONFIGS, ids=["q", "k", "hadamard"])
+    @pytest.mark.parametrize("scaled", ["q", "k"])
+    def test_scaled_inputs_raise_typed_errors(self, cfg, scaled):
+        x = random_inputs(16, 4, seed=0)
+        for scale, error in ((1e160, NonFiniteInput), (1e200, NonFiniteInput),
+                             (1e-160, DegenerateNormalizer)):
+            q, k = (x.q * scale, x.k) if scaled == "q" else (x.q, x.k * scale)
+            with pytest.raises(error) as exc:
+                tensor_attention_expm(AttnInputs(q, k, x.v), cfg)
+            if error is NonFiniteInput:
+                assert exc.value.stage in ("operator trace", "Gram matrix")
+
 
 class TestMaskedPath:
     def test_single_token_equals_unmasked(self):
@@ -551,17 +649,25 @@ class TestOverflow:
         with pytest.raises(NonFiniteInput, match="overflowed"):
             forward(variant, AttnInputs(q, k, v))
 
-    def test_factored_expm_keeps_the_materialized_range(self):
-        # W^H v would overflow unbalanced; expm(T / tr T) v itself is finite.
+    @pytest.mark.parametrize("side", ["q", "k"])
+    @pytest.mark.parametrize("case", ["large value rows", "large keys and values"])
+    def test_factored_expm_keeps_the_materialized_range(self, side, case):
+        # B^H v would overflow unless both W and the Gram's factor L are scaled down;
+        # expm(T / tr T) v itself is finite.
         inputs = random_inputs(16, 4, seed=0)
-        q, v = inputs.q.copy(), inputs.v.copy()
-        v[0] = v[1] = 1e307
-        q[0] *= 1e3
-        big = AttnInputs(q, inputs.k, v)
-        expected = _materialized_expm(big, "q")
+        q, k, v = inputs.q.copy(), inputs.k.copy(), inputs.v.copy()
+        if case == "large value rows":
+            v[0] = v[1] = 1e307
+            q[0] *= 1e3
+        else:
+            k *= 1e150
+            v *= 1e200
+        big = AttnInputs(q, k, v)
+        expected = _materialized_expm(big, side)
         assert np.all(np.isfinite(expected))
         np.testing.assert_allclose(
-            tensor_attention_expm(big), expected, rtol=0, atol=1e-12 * np.abs(expected).max()
+            tensor_attention_expm(big, TensorOpConfig(side=side)), expected,
+            rtol=0, atol=1e-12 * np.abs(expected).max(),
         )
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
