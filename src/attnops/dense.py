@@ -55,7 +55,7 @@ def as_square(a, name: str = "operand") -> np.ndarray:
 
 def finite_result(out: np.ndarray, op: str) -> np.ndarray:
     """Return ``out``, or raise NonFiniteInput naming ``op`` if it holds NaN or Inf."""
-    if out.size and not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():  # the method skips np.all's dispatch; True when empty
         raise NonFiniteInput(f"{op} overflowed to non-finite values", stage=op)
     return out
 

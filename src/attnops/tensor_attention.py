@@ -115,11 +115,15 @@ class FactoredOperator:
     def of(
         cls, q: np.ndarray, k: np.ndarray, cfg: TensorOpConfig = TensorOpConfig()
     ) -> FactoredOperator:
-        """Factor q and k, as ``conform_pair`` returns them, for a product flavor."""
+        """Factor q and k, as ``conform_pair`` returns them, for a product flavor.
+
+        An overflowed Gram raises NonFiniteInput before any path (or LAPACK) sees it."""
         if cfg.hadamard:
             raise ValueError("the elementwise flavor has no rank-d factorization")
         w, other = (q, k) if cfg.side == Q_SIDE else (k, q)
-        return cls(w, other.conj().T @ other)
+        with np.errstate(over="ignore", invalid="ignore"):  # finite_result reports overflow
+            gram = other.conj().T @ other
+        return cls(w, finite_result(gram, "Gram matrix"))
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """T v, evaluated as W (G (W^H v)) so that every intermediate is d wide."""
@@ -188,11 +192,10 @@ class FactoredOperator:
         only if v nearly does.  tau is scaled back in Python floats (inf, never a
         warning, on overflow) for ``checked_normalizer``.
         """
-        gram = finite_result(self.gram, "Gram matrix")  # eigh fails to converge on inf
         try:
-            factor = np.linalg.cholesky(gram)
+            factor = np.linalg.cholesky(self.gram)
         except np.linalg.LinAlgError:  # singular G, as at n < d: use its clamped spectrum
-            lam, vecs = np.linalg.eigh(gram)
+            lam, vecs = np.linalg.eigh(self.gram)
             factor = vecs * np.sqrt(np.maximum(lam, 0.0))
         shift = sum(math.frexp(np.max(np.abs(m)))[1] for m in (self.w, factor))
         shift = min(max(shift, -1022), 1023)  # keeps 2.0 ** +-shift finite

@@ -13,11 +13,13 @@ for comparing mechanisms end to end.
 Allocation discipline: the mixer gets a layer-normed copy of the tokens and
 its output is only read, since a callable mixer may keep either.  The rest of a
 block runs over row tiles, so no n-by-hidden array exists; the last tile absorbs
-a one-row remainder, which numpy would send to gemv.  Gelu runs in place on each
-tile (``_gelu_into``: ``gelu``'s one-line formula, ufunc by ufunc, operands in its
-order).  The row-local steps keep their bytes, and the GEMMs keep them where BLAS
-rounds a row tile as it rounds the whole matrix (OpenBLAS does at the benchmark
-shapes, not at all shapes).
+a one-row remainder, which numpy would send to gemv.  That rest is row-local and
+only the class token is read out, so the last block runs it on rows 0:2 alone
+(two rows, again for gemv) and skips 1/depth of the MLP work.  Gelu runs in
+place on each tile (``_gelu_into``: ``gelu``'s one-line formula, ufunc by
+ufunc, operands in its order).  The row-local steps keep their bytes, and the
+GEMMs keep them where BLAS rounds a row tile as it rounds the whole matrix
+(OpenBLAS does at the benchmark shapes, not at all shapes).
 
 Import cost: ``import attnops`` loads only numpy.  scipy.special, whose ``erf``
 ufunc gelu runs, takes several times longer to import than the rest of the
@@ -208,31 +210,36 @@ def _tile_starts(n: int, hidden: int) -> range:
     return range(0, max(1, n - 1), max(2, _TILE_ELEMENTS // max(1, hidden)))
 
 
-def _mlp_half(tokens: np.ndarray, mixed: np.ndarray, b: BlockParams) -> np.ndarray:
-    """``tokens + mixed`` plus the MLP of its LN2, tile by tile; buffers get each step's dtype."""
-    tokens = tokens.astype(np.result_type(mixed, tokens), copy=False)  # the forward's own array
-    n, width = tokens.shape
-    starts = _tile_starts(n, b.mlp_w1.shape[1])
+def _mlp_half(tokens: np.ndarray, mixed: np.ndarray, b: BlockParams, stop: int) -> np.ndarray:
+    """Rows ``:stop`` of ``tokens + mixed`` plus the MLP of its LN2, tile by tile.
+
+    The half is row-local, so the last block stops at the class token's two-row
+    head (one row would go to gemv).  Buffers get each step's dtype.
+    """
+    n, width = tokens.shape  # a parameter with a row per token still has n rows
+    # the forward's own array: a view of it is written in place
+    tokens = tokens[:stop].astype(np.result_type(mixed, tokens), copy=False)
+    starts = _tile_starts(stop, b.mlp_w1.shape[1])
     tile = starts.step
     hidden_type = np.result_type(tokens, b.ln2_scale, b.ln2_shift, b.mlp_w1)
     out_type = np.result_type(hidden_type, b.mlp_b1, b.mlp_w2)  # gelu keeps a float64+ dtype
     # one tile each, with room for a last tile that absorbs a one-row remainder
-    ln_buf, hidden_buf, out_buf = (np.empty((min(n, tile + 1), cols), dtype) for cols, dtype in (
+    ln_buf, hidden_buf, out_buf = (np.empty((min(stop, tile + 1), cols), dtype) for cols, dtype in (
         (width, tokens.dtype), (b.mlp_w1.shape[1], hidden_type), (b.mlp_w2.shape[1], out_type)))
     result_type = np.result_type(out_type, b.mlp_b2)
     result = tokens if result_type == tokens.dtype else np.empty(tokens.shape, result_type)
-    bounds = [*starts, n]
-    for start, stop in zip(bounds, bounds[1:]):
-        x, rows = tokens[start:stop], stop - start
+    bounds = [*starts, stop]
+    for start, end in zip(bounds, bounds[1:]):
+        x, rows = tokens[start:end], end - start
         # a parameter with a row per token is broadcast tile by tile, as the whole array was
-        scale, shift, b1, b2 = (p[start:stop] if np.ndim(p) == 2 and len(p) == n else p
+        scale, shift, b1, b2 = (p[start:end] if np.ndim(p) == 2 and len(p) == n else p
                                 for p in (b.ln2_scale, b.ln2_shift, b.mlp_b1, b.mlp_b2))
-        np.add(x, mixed[start:stop], out=x)
+        np.add(x, mixed[start:end], out=x)
         normed = _layer_norm(x, scale, shift, ln_buf[:rows])
         hidden = _into(np.add, np.matmul(normed, b.mlp_w1, out=hidden_buf[:rows]), b1)
         _gelu_into(hidden, hidden)
         out = _into(np.add, np.matmul(hidden, b.mlp_w2, out=out_buf[:rows]), b2)
-        np.add(x, out, out=result[start:stop])
+        np.add(x, out, out=result[start:end])
     return result
 
 
@@ -251,12 +258,14 @@ def vit_forward(params: ViTParams, patches) -> np.ndarray:
 
     tokens = np.vstack([params.class_token, patches @ params.patch_embed])
     tokens = _into(np.add, tokens, params.pos_embed)
-    for block in params.blocks:
+    n = len(tokens)
+    for i, block in enumerate(params.blocks, 1):
         normed = layer_norm(tokens, block.ln1_scale, block.ln1_shift)
         mixed = mix(AttnInputs(normed, normed, normed))
         if mixed.shape != tokens.shape:
             raise DimensionMismatch(
                 f"mixer returned shape {mixed.shape}, expected {tokens.shape}"
             )
-        tokens = _mlp_half(tokens, mixed, block)
+        # only the class token is read out, and nothing mixes rows after the last mixer
+        tokens = _mlp_half(tokens, mixed, block, n if i < params.depth else min(n, 2))
     return layer_norm(tokens[:1], params.head_scale, params.head_shift)[0]

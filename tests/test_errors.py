@@ -52,8 +52,14 @@ def test_non_finite_input_names_its_stage():
         AttnInputs(np.array([[np.nan, 0.0], [1.0, 0.0]]), np.eye(2), V)
     assert vars(operand.value) == {"stage": None}
 
-    # Q scaled by 1e160 overflows the operator, so its trace is not finite.
+    # Q scaled by 1e160 overflows the Gram K^H K before any operator is formed.
     big = np.array([[1e160, 0.0], [0.0, 1.0]])
+    with pytest.raises(NonFiniteInput, match="Gram matrix overflowed") as gram:
+        tensor_attention_naive(AttnInputs(big, big, V))
+    assert vars(gram.value) == {"stage": "Gram matrix"}
+
+    # At 1e100 the Gram is finite but the operator overflows, so its trace is not finite.
+    big = np.array([[1e100, 0.0], [0.0, 1.0]])
     with pytest.raises(NonFiniteInput, match="operator trace .* is not finite") as normalizer:
         tensor_attention_naive(AttnInputs(big, big, V))
     assert vars(normalizer.value) == {"stage": "operator trace"}

@@ -470,8 +470,11 @@ class TestExpmPath:
             tensor_attention_expm(inputs, TensorOpConfig(hadamard=True))
         assert exc.value.stage == "matrix-exponential tensor attention"
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the Gram and score products overflow
-    @pytest.mark.parametrize("cfg", EXPM_CONFIGS, ids=["q", "k", "hadamard"])
+    @pytest.mark.parametrize("cfg", [
+        *EXPM_CONFIGS[:2],
+        # the elementwise score product A o conj(A)^T overflows before any guard
+        pytest.param(EXPM_CONFIGS[2], marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+    ], ids=["q", "k", "hadamard"])
     @pytest.mark.parametrize("scaled", ["q", "k"])
     def test_scaled_inputs_raise_typed_errors(self, cfg, scaled):
         x = random_inputs(16, 4, seed=0)
@@ -670,8 +673,21 @@ class TestOverflow:
             rtol=0, atol=1e-12 * np.abs(expected).max(),
         )
 
+    @pytest.mark.parametrize("side", ["q", "k"])
+    @pytest.mark.parametrize(
+        "variant", ["tensor_linear", "tensor_masked", "tensor_expm", "tensor_naive"])
+    def test_overflowed_gram_is_typed_without_a_warning(self, variant, side):
+        # The Gram comes from the other side's factor: K^H K on the query side, Q^H Q on
+        # the key side.  It overflows first, and raises before any other product warns.
+        x = random_inputs(16, 4, seed=0)
+        q, k = (x.q, x.k * 1e160) if side == "q" else (x.q * 1e160, x.k)
+        with pytest.raises(NonFiniteInput) as exc:
+            forward(variant, AttnInputs(q, k, x.v), side=side)
+        assert exc.value.stage == "Gram matrix"
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowed_normalizer_names_entry(self):
-        q = np.array([[1e160, 0.0], [1.0, 1.0]])
+        # the Gram q^T q stays finite; the operator's first diagonal entry overflows
+        q = np.array([[1e100, 0.0], [1.0, 1.0]])
         with pytest.raises(NonFiniteInput, match="diagonal entry 0"):
             tensor_attention_naive(AttnInputs(q, q, V), normalization="diag")

@@ -1,6 +1,9 @@
 import dataclasses
+import importlib.util
 import math
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,6 +67,19 @@ TILE = vit_module._tile_starts(0, HIDDEN).step
 TOKEN_COUNTS = (2, 10, TILE - 1, TILE, TILE + 1, 2 * TILE + 1)
 
 
+WORKLOADS = Path(__file__).resolve().parent.parent / "benchmark" / "workloads.py"
+
+
+def benchmark_cells(monkeypatch, workload, seed=0):
+    """The benchmark's cells of ``workload``, loaded by file path (``benchmark`` is not a
+    package), as ``(params, patches)`` pairs."""
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses looks it up there
+    spec.loader.exec_module(module)
+    return [cell.run.args for cell in getattr(module, workload)(seed)]
+
+
 def _recast_blocks(params, cast, *fields):
     blocks = tuple(
         dataclasses.replace(b, **{f: cast(getattr(b, f)) for f in fields}) for b in params.blocks
@@ -96,20 +112,25 @@ def assert_same_bytes(got, expected):
     assert got.tobytes() == expected.tobytes()
 
 
-def _tiles_round_like_whole(x, w, hidden):
-    """Whether BLAS rounds every MLP row tile of ``x @ w`` exactly as the whole product.
+def _tiles_round_like_whole(x, w, hidden, stop):
+    """Whether BLAS rounds every MLP row tile of ``x[:stop] @ w`` exactly as the whole product.
 
     The tiles are the ones ``vit._mlp_half`` uses, from ``vit._tile_starts``.
     """
-    bounds = [*vit_module._tile_starts(len(x), hidden), len(x)]
+    bounds = [*vit_module._tile_starts(stop, hidden), stop]
     whole = x @ w
     return all(np.array_equal(x[a:b] @ w, whole[a:b]) for a, b in zip(bounds, bounds[1:]))
 
 
 def assert_matches_reference(got, expected, gemms):
     """Equal bytes where BLAS rounds the row tiles of each recorded MLP product like the
-    whole product (OpenBLAS does at most shapes here), else agreement to rounding."""
-    if all(_tiles_round_like_whole(*gemm) for gemm in gemms):
+    whole product (OpenBLAS does at most shapes here), else agreement to rounding.
+
+    The last block's two products run on their two-row head only, so only those rows
+    are probed there.
+    """
+    stops = [len(x) for x, *_ in gemms[:-2]] + [min(len(x), 2) for x, *_ in gemms[-2:]]
+    if all(_tiles_round_like_whole(*gemm, stop) for gemm, stop in zip(gemms, stops)):
         assert_same_bytes(got, expected)
     else:
         assert type(got) is type(expected) and got.dtype == expected.dtype
@@ -270,6 +291,13 @@ class TestForward:
         patches = random_matrix(300, 6, seed=19)
         assert_same_bytes(vit_forward(params, patches), reference_forward(params, patches))
 
+    @pytest.mark.parametrize("workload", ["encoder_short", "encoder_long"])
+    def test_bytes_match_the_reference_at_the_benchmark_shapes(self, monkeypatch, workload):
+        for params, patches in benchmark_cells(monkeypatch, workload):
+            gemms = []
+            expected = reference_forward(params, patches, gemms)
+            assert_matches_reference(vit_forward(params, patches), expected, gemms)
+
     def test_tiles_stay_within_rounding_where_the_blas_splits_differently(self):
         """At some shapes a row tile's GEMM rounds unlike the whole product; bound the drift.
 
@@ -290,6 +318,41 @@ class TestForward:
             [0], [0], [0], [0, TILE], [0, TILE]]
         assert starts(1, 10**6).step == 2
         assert starts(1, 0).step == vit_module._TILE_ELEMENTS
+
+    @pytest.mark.parametrize("per_token", [False, True], ids=["shared", "per-token"])
+    @pytest.mark.parametrize("depth", [0, 1, 2, 3])
+    @pytest.mark.parametrize("tokens", TOKEN_COUNTS)
+    def test_last_block_runs_its_mlp_on_the_two_row_head(self, monkeypatch, tokens, depth,
+                                                          per_token):
+        """gelu sees every row in each block but the last, and rows 0:2 in the last:
+        the readout needs the class token alone, and a one-row product would go to gemv."""
+        blocks = []  # rows of each gelu tile, one list per block
+        gelu_into = vit_module._gelu_into
+
+        def recording(x, out):
+            blocks[-1].append(len(x))
+            gelu_into(x, out)
+
+        def mixer(attn):
+            blocks.append([])
+            return forward("tensor_linear", attn)
+
+        monkeypatch.setattr(vit_module, "_gelu_into", recording)
+        params = vit_init(6, 8, HIDDEN, tokens - 1, depth, seed=21, mechanism=mixer)
+        if per_token:  # LN2 and MLP biases with a row per token, sliced by the full n
+            rng = np.random.default_rng(21)
+            params = _recast_blocks(
+                params, lambda a: a + rng.uniform(-0.5, 0.5, (tokens, a.shape[-1])),
+                "ln2_scale", "ln2_shift", "mlp_b1", "mlp_b2")
+        patches = random_matrix(tokens - 1, 6, seed=21)
+        gemms = []
+        expected = reference_forward(params, patches, gemms)
+        blocks.clear()
+        got = vit_forward(params, patches)
+        last = [min(tokens, 2)] if depth else []
+        assert [sum(rows) for rows in blocks] == [tokens] * (depth - 1) + last
+        assert all(rows >= 2 for block in blocks for rows in block)
+        assert_matches_reference(got, expected, gemms)
 
     def test_mixer_inputs_are_not_written_into(self):
         """A callable mixer may keep its inputs; the forward pass must not touch them."""
