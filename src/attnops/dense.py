@@ -40,7 +40,7 @@ def as_vector(x, name: str = "vector") -> np.ndarray:
 
 
 def _finite_contiguous(arr: np.ndarray, name: str) -> np.ndarray:
-    if arr.size and not np.all(np.isfinite(arr)):
+    if arr.size and not np.isfinite(arr).all():
         raise NonFiniteInput(f"{name} contains NaN or Inf")
     kind = COMPLEX if np.iscomplexobj(arr) else REAL
     return np.ascontiguousarray(arr, dtype=kind)

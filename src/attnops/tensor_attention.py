@@ -37,7 +37,7 @@ operator's order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -106,10 +106,14 @@ class FactoredOperator:
     side swaps the roles of Q and K, giving A^H A.  The rank is at most d,
     and the action, trace, diagonal and exponential each cost O(n d^2), the
     exponential plus O(d^3); ``materialize`` costs O(n^2 d).
+
+    For self-attention (q is k) G is also W^H W; ``of`` records that, and
+    ``trace`` and ``apply(w)`` reuse G instead of forming that product again.
     """
 
     w: np.ndarray
     gram: np.ndarray
+    _self_gram: bool = field(default=False, init=False, repr=False)
 
     @classmethod
     def of(
@@ -123,15 +127,19 @@ class FactoredOperator:
         w, other = (q, k) if cfg.side == Q_SIDE else (k, q)
         with np.errstate(over="ignore", invalid="ignore"):  # finite_result reports overflow
             gram = other.conj().T @ other
-        return cls(w, finite_result(gram, "Gram matrix"))
+        op = cls(w, finite_result(gram, "Gram matrix"))
+        object.__setattr__(op, "_self_gram", other is w)
+        return op
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """T v, evaluated as W (G (W^H v)) so that every intermediate is d wide."""
-        return self.w @ (self.gram @ (self.w.conj().T @ v))
+        projected = self.gram if self._self_gram and v is self.w else self.w.conj().T @ v
+        return self.w @ (self.gram @ projected)
 
     def trace(self) -> float:
         """tr(T) = sum(G o (W^H W)^T), the same on both sides."""
-        return float(np.real(np.sum(self.gram * (self.w.conj().T @ self.w).T)))
+        w_gram = self.gram if self._self_gram else self.w.conj().T @ self.w
+        return float(np.real(np.sum(self.gram * w_gram.T)))
 
     def diag(self) -> np.ndarray:
         """The diagonal, a block of rows at a time and clamped at zero; see ``diag_fast``."""

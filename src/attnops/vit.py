@@ -21,6 +21,12 @@ ufunc, operands in its order).  The row-local steps keep their bytes, and the
 GEMMs keep them where BLAS rounds a row tile as it rounds the whole matrix
 (OpenBLAS does at the benchmark shapes, not at all shapes).
 
+Layer norm forms one mean and reduces the variance from the centered rows as
+``ndarray.var`` does, so its bytes are those of the two-call formula without
+var's second mean and full-size temporary.  A row whose variance overflows,
+though its entries are finite, is normalized again from the row divided by an
+exact power of two, where the formula would give zeros.
+
 Import cost: ``import attnops`` loads only numpy.  scipy.special, whose ``erf``
 ufunc gelu runs, takes several times longer to import than the rest of the
 package (about 0.3 s and 20 MB on a 2-vCPU Xeon with scipy 1.17), so it is
@@ -166,14 +172,53 @@ def _into(ufunc, a: np.ndarray, b) -> np.ndarray:
         return ufunc(a, b)
 
 
+def _squared_row_mean(centered: np.ndarray) -> np.ndarray:
+    """Square ``centered`` in place; return its (rows, 1) row means, reduced as ``ndarray.var``
+    reduces them (complex: re^2 + im^2 through the real view, summed into the real parts)."""
+    if centered.dtype.kind != "c":
+        squares = np.square(centered, out=centered)
+    else:
+        pairs = centered.view((centered.real.dtype, (2,)))
+        np.square(pairs, out=pairs)
+        squares = np.add(pairs[..., 0], pairs[..., 1], out=centered.real)
+    var = np.add.reduce(squares, axis=-1, keepdims=True)
+    return np.true_divide(var, np.intp(centered.shape[-1]), out=var, casting="unsafe")
+
+
 def _layer_norm(x: np.ndarray, scale, shift, out: np.ndarray | None = None) -> np.ndarray:
-    """``layer_norm``, with ``x - mean`` written into ``out`` (of its dtype and shape) if given."""
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
+    """``layer_norm``, with ``x - mean`` written into ``out`` (of its dtype and shape) if given.
+
+    One mean serves the shift and the variance, which is reduced from squares
+    written into ``out`` before it takes ``x - mean`` again (a pass, not a
+    full-size allocation).  The reductions and divisions are ``ndarray.mean``'s
+    and ``ndarray.var``'s, so the bytes are those of the two-call formula.
+    """
+    mean = np.add.reduce(x, -1, np.float64 if x.dtype.kind in "biu" else None, keepdims=True)
+    np.true_divide(mean, np.intp(x.shape[-1]), out=mean, casting="unsafe")
     out = np.subtract(x, mean, out=out)
+    var = _squared_row_mean(out)
+    np.subtract(x, mean, out=out)
     # var is real at mean's precision with one column: dividing in place never promotes
     np.divide(out, np.sqrt(var + LAYER_NORM_EPS), out=out)
+    # one BLAS dot, cheaper than isfinite(var).all(); its false alarm past 1e154 changes nothing
+    if not math.isfinite(np.vdot(var, var)):
+        _rescale_overflowed_rows(*np.atleast_2d(x, out, var))
     return _into(np.add, _into(np.multiply, out, scale), shift)
+
+
+def _rescale_overflowed_rows(x: np.ndarray, out: np.ndarray, var: np.ndarray) -> None:
+    """Normalize again the rows of finite ``x`` whose variance overflowed, from y = x / 2^e,
+    with 2^e just above the row's largest magnitude: (y - mean_y) / sqrt(var_y + eps / 4^e)."""
+    rows = ~np.isfinite(var[..., 0])
+    magnitudes = np.abs(x[rows].view(var.dtype) if x.dtype.kind == "c" else x[rows])
+    finite = np.isfinite(magnitudes).all(axis=-1)  # a row holding inf or NaN keeps its NaN
+    rows[rows] = finite
+    exponents = np.frexp(magnitudes[finite].max(axis=-1, keepdims=True, initial=0))[1]
+    y = x[rows] * np.ldexp(var.dtype.type(1), -exponents)
+    centered = y - y.mean(axis=-1, keepdims=True)
+    var_y = _squared_row_mean(centered.copy())
+    eps_y = np.ldexp(var.dtype.type(LAYER_NORM_EPS), -2 * exponents)
+    out[rows] = centered / np.sqrt(var_y + eps_y)
 
 
 def layer_norm(x: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarray:

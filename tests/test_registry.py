@@ -6,6 +6,7 @@ from attnops import (
     DegenerateNormalizer,
     TensorOpConfig,
     forward,
+    random_matrix,
     linear_kernel_attention,
     random_inputs,
     softmax_attention,
@@ -20,6 +21,7 @@ from attnops import (
     variant_ids,
 )
 from attnops import registry
+from attnops.tensor_attention import FactoredOperator
 
 # The implementation each id reaches, by its attribute name on attnops.registry.
 IMPLEMENTATIONS = {
@@ -181,3 +183,28 @@ class TestOptionsForwarded:
     def test_kernel_matches_direct_call(self):
         inputs = nonneg_inputs()
         assert_same_bytes(forward("kernel", inputs), linear_kernel_attention(inputs))
+
+
+class TestSelfAttention:
+    # Self-attention (q is k is v) reuses the key Gram as W^H W and W^H V.
+    @pytest.mark.parametrize("shape", [(65, 32), (5, 8)])  # n < d leaves G singular
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("side", ["q", "k"])
+    @pytest.mark.parametrize(
+        "variant", ["tensor_linear", "tensor_residual", "tensor_masked", "tensor_naive",
+                    "tensor_expm"]
+    )
+    def test_shared_array_gives_the_bytes_of_copies(self, variant, side, complex_, shape):
+        x = random_matrix(*shape, seed=shape[0], complex_=complex_)
+        shared = forward(variant, AttnInputs(x, x, x), side=side)
+        assert_same_bytes(shared, forward(variant, AttnInputs(x, x.copy(), x.copy()), side=side))
+        v = random_matrix(shape[0], 3, seed=2, complex_=complex_)  # q is k, v apart
+        assert_same_bytes(forward(variant, AttnInputs(x, x, v), side=side),
+                          forward(variant, AttnInputs(x, x.copy(), v), side=side))
+
+    def test_only_a_shared_factor_is_marked(self):
+        x = random_matrix(6, 3, seed=1)
+        assert FactoredOperator.of(x, x)._self_gram
+        assert not FactoredOperator.of(x, x.copy())._self_gram
+        with pytest.raises(TypeError):
+            FactoredOperator(x, x.T @ x, True)  # not a constructor argument

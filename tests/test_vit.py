@@ -454,6 +454,41 @@ class TestLayerNorm:
         scale = np.random.default_rng(13).standard_normal((3, 4))
         assert_same_bytes(layer_norm(x, scale, 0.0), reference_layer_norm(x, scale, 0.0))
 
+    # Widths on both sides of numpy's pairwise-summation blocks (8 and 128 terms).
+    @pytest.mark.parametrize("width", [1, 2, 8, 9, 64, 129, 200])
+    @pytest.mark.parametrize("rows", [1, 2, 65])
+    @pytest.mark.parametrize("kind", ["float64", "float32", "int64", "complex128"])
+    def test_bytes_match_the_reference_across_reduction_shapes(self, kind, rows, width):
+        rng = np.random.default_rng(width * 100 + rows)
+        x = rng.standard_normal((rows, width)) * 3.0 + 0.5
+        if kind == "complex128":
+            x = x + 1j * rng.standard_normal((rows, width))
+        elif kind == "int64":
+            x = np.round(x * 1000)
+        x = x.astype(kind)
+        scale, shift = rng.standard_normal(width), rng.standard_normal(width)
+        expected = reference_layer_norm(x, scale, shift)
+        assert_same_bytes(layer_norm(x, scale, shift), expected)
+        # the buffer path of the MLP half: the centered rows go into a buffer of x's type
+        buf = np.empty(x.shape, np.result_type(x, 1.0))
+        assert_same_bytes(vit_module._layer_norm(x, scale, shift, buf), expected)
+
+    @pytest.mark.parametrize("kind", ["float64", "float32", "complex128"])
+    def test_overflowed_variance_gives_the_scaled_answer(self, kind):
+        big = 1e200 if kind != "float32" else 1e30  # squares overflow, entries do not
+        unit = 1j if kind == "complex128" else 1.0
+        normal = np.array([0.25, -1.5, 3.0])
+        with np.errstate(over="ignore", invalid="ignore"):  # the first pass overflows
+            x = np.array([[big, -big, 3.0], normal, [np.inf, 1.0, 2.0]]).astype(kind) * unit
+            got = layer_norm(x, np.ones(3), np.zeros(3))
+        root = math.sqrt(1.5)  # centered row [big, -big, 2] over sqrt(2 big^2 / 3)
+        np.testing.assert_allclose(got[0], np.array([root, -root, root * 2.0 / big]) * unit,
+                                   rtol=1e-6 if kind == "float32" else 1e-15)
+        # rows whose variance is finite keep their bytes; a row holding inf keeps NaN
+        assert_same_bytes(got[1], layer_norm((normal * unit).astype(kind)[None], np.ones(3),
+                                             np.zeros(3))[0])
+        assert np.isnan(got[2]).all()
+
 
 def gelu_inputs():
     rng = np.random.default_rng(14)
