@@ -19,7 +19,6 @@ from .bench import (
     BenchSummary,
     array_checksum,
     bench_targets,
-    parse_config_text,
     run_bench,
     summarize,
     write_records,

@@ -23,7 +23,7 @@ from statistics import median
 import numpy as np
 
 from .attention import AttnInputs
-from .errors import AttnOpsError, UnknownVariant
+from .errors import UnknownVariant
 from .registry import VARIANTS
 from .synth import random_inputs
 from .tensor_attention import diag_fast, score_matrix
@@ -44,20 +44,25 @@ def _diag_fast(inputs: AttnInputs) -> np.ndarray:
     return diag_fast(inputs.q, inputs.k)
 
 
-_EXTRA_TARGETS = {
-    "diag_fast": _diag_fast,
-    "diag_naive": _diag_naive,
-}
-
-
 def bench_targets() -> dict:
-    targets = dict(VARIANTS)
-    targets.update(_EXTRA_TARGETS)
-    return targets
+    """The registry's variants plus the two diagonal routes, by id."""
+    return dict(VARIANTS, diag_fast=_diag_fast, diag_naive=_diag_naive)
 
 
 @dataclass(frozen=True)
 class BenchConfig:
+    """One sweep: every variant at every token count and seed.  Each field is one
+    ``attnops bench`` flag, and its defaults and bounds are the only ones.
+
+    variants      ids of ``bench_targets()``; required, at least one
+    n_values      token counts; required, at least one, each >= 1, strictly increasing
+    d             feature width; default 32, >= 1
+    seeds         input seeds; default (0,), at least one
+    repetitions   timed runs per cell; default 5, >= 3
+    warmup        untimed runs per cell before them; default 1, >= 0
+    output_path   record file, JSONL if it ends in ``.jsonl``, else CSV; default None, no file
+    """
+
     variants: tuple
     n_values: tuple
     d: int = 32
@@ -65,7 +70,6 @@ class BenchConfig:
     repetitions: int = 5
     warmup: int = 1
     output_path: str | None = None
-    format: str = "csv"
 
     def __post_init__(self):
         object.__setattr__(self, "variants", tuple(self.variants))
@@ -91,8 +95,6 @@ class BenchConfig:
             raise ValueError(f"repetitions: must be >= 3, got {self.repetitions}")
         if self.warmup < 0:
             raise ValueError("warmup: must be >= 0")
-        if self.format not in ("csv", "jsonl"):
-            raise ValueError(f"format: must be 'csv' or 'jsonl', got {self.format!r}")
 
 
 @dataclass(frozen=True)
@@ -151,20 +153,11 @@ def run_bench(config: BenchConfig) -> tuple[list, BenchSummary]:
                     start = time.perf_counter_ns()
                     out = fn(inputs)
                     elapsed = time.perf_counter_ns() - start
-                    records.append(
-                        BenchRecord(
-                            variant=variant,
-                            n=n,
-                            d=config.d,
-                            seed=seed,
-                            rep=rep,
-                            wall_nanos=max(int(elapsed), 1),
-                            checksum=array_checksum(out),
-                        )
-                    )
+                    records.append(BenchRecord(variant, n, config.d, seed, rep,
+                                               max(int(elapsed), 1), array_checksum(out)))
     summary = summarize(records)
     if config.output_path:
-        write_records(records, config.output_path, config.format)
+        write_records(records, config.output_path)
     return records, summary
 
 
@@ -188,66 +181,12 @@ def summarize(records) -> BenchSummary:
     return BenchSummary(medians=medians, doubling_ratios=ratios, warnings=warnings)
 
 
-def write_records(records, path: str, format: str = "csv") -> None:
-    """CSV (fixed seven-column header) or JSONL (same seven fields), newline-terminated."""
+def write_records(records, path: str) -> None:
+    """JSONL if ``path`` ends in ``.jsonl``, else CSV under the fixed seven-column
+    header; the same seven fields either way, one newline-terminated line per record."""
+    jsonl = str(path).endswith(".jsonl")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        if format == "csv":
+        if not jsonl:
             fh.write(CSV_HEADER + "\n")
-            for r in records:
-                fh.write(r.csv_row() + "\n")
-        elif format == "jsonl":
-            for r in records:
-                fh.write(r.json_object() + "\n")
-        else:
-            raise ValueError(f"format: must be 'csv' or 'jsonl', got {format!r}")
-
-
-# ---------------------------------------------------------------------------
-# flat key=value config files
-
-
-_LIST_KEYS = {"variants", "n_values", "seeds"}
-_INT_KEYS = {"d", "repetitions", "warmup"}
-
-
-def parse_config_text(text: str, overrides: dict | None = None) -> BenchConfig:
-    """Parse ``key=value`` lines (lists comma-separated); overrides win.
-
-    Unknown keys and malformed values raise AttnOpsError naming the field.
-    """
-    values: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise AttnOpsError(f"config line {lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key in _LIST_KEYS:
-            items = [item.strip() for item in value.split(",") if item.strip()]
-            if key == "variants":
-                values[key] = tuple(items)
-            else:
-                try:
-                    values[key] = tuple(int(item) for item in items)
-                except ValueError:
-                    raise AttnOpsError(f"{key}: expected integers, got {value!r}") from None
-        elif key in _INT_KEYS:
-            try:
-                values[key] = int(value)
-            except ValueError:
-                raise AttnOpsError(f"{key}: expected an integer, got {value!r}") from None
-        elif key in ("format", "output_path"):
-            values[key] = value
-        else:
-            raise AttnOpsError(f"unknown config key {key!r}")
-    values.update(overrides or {})
-    missing = [k for k in ("variants", "n_values") if k not in values]
-    if missing:
-        raise AttnOpsError(f"{missing[0]}: required but not set")
-    try:
-        return BenchConfig(**values)
-    except (ValueError, UnknownVariant) as exc:
-        raise AttnOpsError(str(exc)) from None
+        for r in records:
+            fh.write((r.json_object() if jsonl else r.csv_row()) + "\n")

@@ -1,18 +1,20 @@
 """Command-line front end: identity verification, microbenchmarks, demo forward pass.
 
-Exit codes: 0 success, 1 verification or runtime failure, 2 usage/config error.
+Exit codes: 0 success, 1 verification or runtime failure, 2 usage error.
+Arguments can be read from a file, one per line, as ``@FILE``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
 import numpy as np
 
-from .bench import array_checksum, parse_config_text, run_bench
-from .errors import AttnOpsError
+from .bench import BenchConfig, array_checksum, run_bench
+from .errors import AttnOpsError, UnknownVariant
 from .registry import variant_ids
 from .synth import random_matrix
 from .verify import run_verify
@@ -36,23 +38,33 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="attnops",
         description="Verify the attention-operator identities, benchmark the kernels, "
         "or run the demo encoder forward pass.",
+        fromfile_prefix_chars="@",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    verify = sub.add_parser("verify", help="run the identity suite; exit 1 on any failure")
+    # verify and bench suppress unset flags: run_verify and BenchConfig hold the defaults
+    verify = sub.add_parser("verify", argument_default=argparse.SUPPRESS,
+                            help="run the identity suite; exit 1 on any failure")
     verify.add_argument(
         "--negative-control",
         action="store_true",
         help="plant a wrong vectorization convention to prove failures are detected",
     )
-    verify.add_argument("--seed", type=_int_at_least(0), default=2024)
+    verify.add_argument("--seed", type=_int_at_least(0))
     verify.set_defaults(run=_cmd_verify)
 
-    bench = sub.add_parser("bench", help="time kernels over a token-count sweep")
-    bench.add_argument("--config", required=True, help="flat key=value config file")
-    bench.add_argument("--format", choices=("csv", "jsonl"), default=None)
-    bench.add_argument("--out", default=None, help="output path for the record stream")
-    bench.set_defaults(run=_cmd_bench)
+    bench = sub.add_parser("bench", argument_default=argparse.SUPPRESS,
+                           help="time kernels over a token-count sweep",
+                           description="Defaults and bounds: help(attnops.BenchConfig).")
+    bench.add_argument("--variants", nargs="+", required=True, metavar="ID")
+    bench.add_argument("--n-values", nargs="+", type=int, required=True, metavar="N")
+    bench.add_argument("--seeds", nargs="+", type=int, metavar="SEED")
+    bench.add_argument("--d", type=int)
+    bench.add_argument("--repetitions", type=int)
+    bench.add_argument("--warmup", type=int)
+    bench.add_argument("--out", dest="output_path", metavar="PATH",
+                       help="record file: JSONL if it ends in .jsonl, else CSV")
+    bench.set_defaults(run=functools.partial(_cmd_bench, bench))
 
     demo = sub.add_parser("demo", help="run one encoder forward pass and print a summary")
     demo.add_argument("--mechanism", default="softmax", choices=variant_ids())
@@ -64,25 +76,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _given(args) -> dict:
+    """The subcommand's settings that were given, keyed by destination."""
+    return {k: v for k, v in vars(args).items() if k not in ("command", "run")}
+
+
 def _cmd_verify(args) -> int:
-    report = run_verify(seed=args.seed, negative_control=args.negative_control)
+    report = run_verify(**_given(args))
     for line in report.lines():
         print(line)
     return 0 if report.passed else 1
 
 
-def _cmd_bench(args) -> int:
-    overrides = {}
-    if args.format is not None:
-        overrides["format"] = args.format
-    if args.out is not None:
-        overrides["output_path"] = args.out
+def _cmd_bench(parser, args) -> int:
     try:
-        with open(args.config, encoding="utf-8") as fh:
-            config = parse_config_text(fh.read(), overrides)
-    except (AttnOpsError, OSError) as exc:  # OSError: the config file cannot be read
-        print(f"config: {exc}", file=sys.stderr)
-        return 2
+        config = BenchConfig(**_given(args))
+    except (ValueError, UnknownVariant) as exc:
+        parser.error(exc.args[0])  # args[0]: a KeyError's str() would quote the message
     try:
         records, summary = run_bench(config)
     except (AttnOpsError, OSError) as exc:  # OSError: the record file cannot be written
@@ -93,7 +103,7 @@ def _cmd_bench(args) -> int:
     for line in summary.lines():
         print(line)
     if config.output_path:
-        print(f"wrote {config.format} to {config.output_path}")
+        print(f"wrote {config.output_path}")
     return 0
 
 

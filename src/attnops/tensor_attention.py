@@ -278,11 +278,12 @@ def normalized_tensor_operator(
     if normalization == TRACE:
         t, total = _operator_and_trace(q, k, cfg)
         return t / total
+    if normalization == ROW:
+        require_real(np.iscomplexobj(q) or np.iscomplexobj(k), "row normalization")
     t = build_tensor_operator(q, k, cfg)
     n = t.shape[0]
     if normalization == DIAG:
         return t / checked_normalizer(np.real(np.diag(t)), n, "diagonal entry")[:, None]
-    require_real(np.iscomplexobj(t), "row normalization")
     return t / checked_normalizer(t.sum(axis=1), n, "row sum")[:, None]
 
 

@@ -222,7 +222,12 @@ def _rescale_overflowed_rows(x: np.ndarray, out: np.ndarray, var: np.ndarray) ->
 
 
 def layer_norm(x: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """Per-row normalization to mean 0 / variance 1, then affine scale and shift."""
+    """Per-row normalization to mean 0 / variance 1, then affine scale and shift.
+
+    A finite row whose variance overflows gets its finite answer, but the first pass warns
+    ``overflow encountered in square``: under ``-W error`` or pytest's
+    ``error::RuntimeWarning`` the call raises instead.
+    """
     return _layer_norm(x, scale, shift)
 
 

@@ -1,22 +1,22 @@
+import argparse
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from attnops import (
-    AttnOpsError,
     BenchConfig,
     UnknownVariant,
     array_checksum,
     bench_targets,
-    parse_config_text,
     run_bench,
     run_verify,
     summarize,
     write_records,
 )
 from attnops.bench import CSV_HEADER
-from attnops.cli import main
+from attnops.cli import _build_parser, main
 
 SMALL = BenchConfig(
     variants=("tensor_linear", "softmax"),
@@ -49,8 +49,8 @@ class TestBenchConfig:
             BenchConfig(variants=("softmax",), n_values=(8,), repetitions=2)
         with pytest.raises(UnknownVariant, match="variants"):
             BenchConfig(variants=("warp",), n_values=(8,))
-        with pytest.raises(ValueError, match="format"):
-            BenchConfig(variants=("softmax",), n_values=(8,), format="xml")
+        with pytest.raises(TypeError, match="format"):
+            BenchConfig(variants=("softmax",), n_values=(8,), format="csv")
 
     def test_diag_routes_are_benchable(self):
         targets = bench_targets()
@@ -118,7 +118,7 @@ class TestRecordFiles:
     def test_csv_format(self, tmp_path):
         records, _ = run_bench(SMALL)
         path = tmp_path / "records.csv"
-        write_records(records, str(path), "csv")
+        write_records(records, str(path))
         text = path.read_text(encoding="utf-8")
         lines = text.splitlines()
         assert lines[0] == CSV_HEADER == "variant,n,d,seed,rep,wall_nanos,checksum"
@@ -131,51 +131,11 @@ class TestRecordFiles:
     def test_jsonl_format(self, tmp_path):
         records, _ = run_bench(SMALL)
         path = tmp_path / "records.jsonl"
-        write_records(records, str(path), "jsonl")
+        write_records(records, str(path))
         lines = path.read_text(encoding="utf-8").splitlines()
         assert len(lines) == len(records)
         parsed = json.loads(lines[0])
         assert set(parsed) == {"variant", "n", "d", "seed", "rep", "wall_nanos", "checksum"}
-
-
-class TestConfigText:
-    def test_round_trip(self):
-        config = parse_config_text(
-            "variants=softmax,tensor_linear\n"
-            "n_values=8,16\n"
-            "d=4\n"
-            "seeds=0,1\n"
-            "repetitions=3\n"
-            "warmup=1\n"
-            "format=jsonl\n"
-        )
-        assert config.variants == ("softmax", "tensor_linear")
-        assert config.n_values == (8, 16)
-        assert config.format == "jsonl"
-
-    def test_overrides_win(self):
-        config = parse_config_text("variants=softmax\nn_values=8\nformat=csv\n",
-                                   {"format": "jsonl"})
-        assert config.format == "jsonl"
-
-    @pytest.mark.parametrize("key", ["d_v=3", "out=records.csv"])
-    def test_retired_keys_are_unknown(self, key):
-        with pytest.raises(AttnOpsError, match="unknown config key"):
-            parse_config_text(f"variants=softmax\nn_values=8\n{key}\n")
-
-    def test_file_keys_are_the_config_fields(self):
-        config = parse_config_text("variants=softmax\nn_values=8\noutput_path=records.csv\n")
-        assert config.output_path == "records.csv"
-        with pytest.raises(TypeError):
-            BenchConfig(variants=("softmax",), n_values=(8,), d_v=3)
-
-    def test_errors_name_the_field(self):
-        with pytest.raises(AttnOpsError, match="n_values"):
-            parse_config_text("variants=softmax\nn_values=eight\n")
-        with pytest.raises(AttnOpsError, match="unknown config key"):
-            parse_config_text("variants=softmax\nn_values=8\ncolor=red\n")
-        with pytest.raises(AttnOpsError, match="variants"):
-            parse_config_text("n_values=8\n")
 
 
 class TestVerify:
@@ -202,48 +162,6 @@ class TestCli:
         assert main(["verify", "--negative-control"]) == 1
         out = capsys.readouterr().out
         assert "planted" in out
-
-    def test_bench_subcommand(self, tmp_path, capsys):
-        cfg = tmp_path / "bench.cfg"
-        cfg.write_text("variants=tensor_linear\nn_values=8,16\nd=4\nrepetitions=3\nwarmup=0\n")
-        out_path = tmp_path / "records.csv"
-        assert main(["bench", "--config", str(cfg), "--out", str(out_path)]) == 0
-        assert out_path.read_text().startswith(CSV_HEADER)
-        assert "time ratio" in capsys.readouterr().out
-
-    def test_bench_missing_config_is_usage_error(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["bench"])
-        assert exc.value.code == 2
-
-    def test_bench_nonexistent_config_path_exits_two(self, tmp_path, capsys):
-        assert main(["bench", "--config", str(tmp_path / "absent.cfg")]) == 2
-        assert capsys.readouterr().err.startswith("config:")
-
-    def test_bench_bad_config_file(self, tmp_path, capsys):
-        cfg = tmp_path / "bench.cfg"
-        cfg.write_text("variants=warp\nn_values=8\n")
-        assert main(["bench", "--config", str(cfg)]) == 2
-        assert "config:" in capsys.readouterr().err
-
-    def test_bench_library_error_exits_one(self, tmp_path, capsys):
-        # Row normalization raises DegenerateNormalizer on the bench's signed inputs.
-        cfg = tmp_path / "bench.cfg"
-        cfg.write_text("variants=tensor_row\nn_values=8,16\nd=4\nrepetitions=3\nwarmup=0\n")
-        assert main(["bench", "--config", str(cfg)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("bench failed: row sum")
-        assert "Traceback" not in err
-
-    def test_bench_unwritable_output_exits_one(self, tmp_path, capsys):
-        cfg = tmp_path / "bench.cfg"
-        cfg.write_text("variants=tensor_linear\nn_values=8,16\nd=4\nrepetitions=3\nwarmup=0\n")
-        out_path = tmp_path / "missing" / "x.csv"
-        assert main(["bench", "--config", str(cfg), "--out", str(out_path)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("bench failed:")
-        assert "missing" in err
-        assert not out_path.parent.exists()
 
     def test_demo_default_runs(self, capsys):
         assert main(["demo"]) == 0
@@ -285,9 +203,130 @@ class TestCli:
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
-    @pytest.mark.parametrize("key", ["d_v=3", "out=records.csv"])
-    def test_bench_rejects_retired_config_keys(self, key, tmp_path, capsys):
-        cfg = tmp_path / "bench.cfg"
-        cfg.write_text(f"variants=tensor_linear\nn_values=8\n{key}\n")
-        assert main(["bench", "--config", str(cfg)]) == 2
-        assert "unknown config key" in capsys.readouterr().err
+
+SWEEP = ["bench", "--variants", "tensor_linear", "--n-values", "8", "16",
+         "--d", "4", "--repetitions", "3", "--warmup", "0"]
+
+
+def bench_usage_error(argv, capsys) -> str:
+    """Run ``argv``, expect exit 2 from argparse, and return stderr."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "usage: attnops" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    return captured.err
+
+
+class TestBenchFlags:
+    def test_flags_are_the_config_fields(self):
+        parser = _build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        dests = {a.dest for a in sub.choices["bench"]._actions} - {"help"}
+        assert dests == {f.name for f in dataclasses.fields(BenchConfig)}
+
+    @staticmethod
+    def configs_run(argv, monkeypatch) -> list:
+        """Run ``argv`` with a ``run_bench`` that records its config and times nothing."""
+        seen = []
+
+        def record(config):
+            seen.append(config)
+            return [], summarize([])
+
+        monkeypatch.setattr("attnops.cli.run_bench", record)
+        assert main(argv) == 0
+        return seen
+
+    def test_flag_values_reach_the_config(self, monkeypatch):
+        seen = self.configs_run(
+            ["bench", "--variants", "softmax", "tensor_linear", "--n-values", "8", "16",
+             "--seeds", "0", "1", "--d", "4", "--repetitions", "3", "--warmup", "2",
+             "--out", "records.jsonl"],
+            monkeypatch,
+        )
+        assert seen == [BenchConfig(variants=("softmax", "tensor_linear"), n_values=(8, 16),
+                                    d=4, seeds=(0, 1), repetitions=3, warmup=2,
+                                    output_path="records.jsonl")]
+
+    def test_unset_flags_keep_the_config_defaults(self, monkeypatch):
+        seen = self.configs_run(["bench", "--variants", "softmax", "--n-values", "8"], monkeypatch)
+        assert seen == [BenchConfig(variants=("softmax",), n_values=(8,))]
+
+    def test_bench_subcommand(self, tmp_path, capsys):
+        out_path = tmp_path / "records.csv"
+        assert main(SWEEP + ["--out", str(out_path)]) == 0
+        assert out_path.read_text().startswith(CSV_HEADER + "\n")
+        out = capsys.readouterr().out
+        assert "time ratio" in out and f"wrote {out_path}" in out
+
+    @pytest.mark.parametrize("name, jsonl", [("r.jsonl", True), ("r.csv", False), ("r", False),
+                                             ("r.jsonl.bak", False)])
+    def test_suffix_picks_the_record_format(self, name, jsonl, tmp_path):
+        out_path = tmp_path / name
+        assert main(SWEEP + ["--out", str(out_path)]) == 0
+        first = out_path.read_text().splitlines()[0]
+        assert first.startswith("{") if jsonl else first == CSV_HEADER
+
+    @pytest.mark.parametrize("name", ["config", "format", "d_v", "color"])
+    def test_unknown_or_retired_flags_exit_two(self, name, capsys):
+        err = bench_usage_error(SWEEP + [f"--{name}", "x"], capsys)
+        assert f"unrecognized arguments: --{name} x" in err
+
+    @pytest.mark.parametrize("flag, value", [("--n-values", "eight"), ("--seeds", "0.5"),
+                                             ("--d", "four"), ("--repetitions", "3x"),
+                                             ("--warmup", "")])
+    def test_non_integers_exit_two(self, flag, value, capsys):
+        err = bench_usage_error(SWEEP + [flag, value], capsys)
+        assert f"argument {flag}: invalid int value: {value!r}" in err
+
+    @pytest.mark.parametrize("missing", ["--variants", "--n-values"])
+    def test_missing_required_flag_exits_two(self, missing, capsys):
+        argv = ["bench", "--variants", "softmax", "--n-values", "8"]
+        at = argv.index(missing)
+        err = bench_usage_error(argv[:at] + argv[at + 2:], capsys)
+        assert f"the following arguments are required: {missing}" in err
+
+    def test_unknown_variant_exits_two_naming_the_id(self, capsys):
+        err = bench_usage_error(["bench", "--variants", "warp", "--n-values", "8"], capsys)
+        assert "usage: attnops bench" in err
+        assert "attnops bench: error: variants: unknown id 'warp'" in err
+
+    @pytest.mark.parametrize("flags, field", [(["--repetitions", "2"], "repetitions"),
+                                              (["--n-values", "16", "8"], "n_values"),
+                                              (["--d", "0"], "d"),
+                                              (["--warmup", "-1"], "warmup")])
+    def test_config_bounds_exit_two_naming_the_field(self, flags, field, capsys):
+        err = bench_usage_error(SWEEP + flags, capsys)
+        assert f"attnops bench: error: {field}: must" in err
+
+    def test_args_file_expands_and_a_later_flag_wins(self, tmp_path, capsys):
+        args_file = tmp_path / "bench.args"
+        args_file.write_text("\n".join(SWEEP + ["--d", "8"]) + "\n")
+        out_path = tmp_path / "records.csv"
+        assert main([f"@{args_file}", "--d", "2", "--out", str(out_path)]) == 0
+        assert {line.split(",")[2] for line in out_path.read_text().splitlines()[1:]} == {"2"}
+        assert "d=2" in capsys.readouterr().out
+
+    def test_missing_args_file_exits_two(self, tmp_path, capsys):
+        err = bench_usage_error([f"@{tmp_path / 'absent.args'}"], capsys)
+        assert "absent.args" in err
+
+    def test_library_error_exits_one(self, capsys):
+        # Row normalization raises DegenerateNormalizer on the bench's signed inputs.
+        argv = SWEEP.copy()
+        argv[argv.index("tensor_linear")] = "tensor_row"
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("bench failed: row sum")
+        assert "Traceback" not in err
+
+    def test_unwritable_output_exits_one(self, tmp_path, capsys):
+        out_path = tmp_path / "missing" / "x.csv"
+        assert main(SWEEP + ["--out", str(out_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("bench failed:")
+        assert "missing" in err
+        assert not out_path.parent.exists()

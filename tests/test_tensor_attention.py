@@ -302,6 +302,20 @@ class TestNaivePath:
         with pytest.raises(ComplexNotSupported):
             tensor_attention_naive(inputs, normalization="row")
 
+    @pytest.mark.parametrize("complex_side", ["q", "k"])
+    def test_row_mode_rejects_complex_before_building(self, complex_side, monkeypatch):
+        def building(*args, **kwargs):
+            raise AssertionError("built the n-by-n operator before the complex check")
+
+        monkeypatch.setattr(tensor_attention_module, "build_tensor_operator", building)
+        inputs = random_inputs(512, 4, seed=4, complex_=True)
+        real = inputs.q.real.copy()
+        q, k = (inputs.q, real) if complex_side == "q" else (real, inputs.k)
+        with pytest.raises(ComplexNotSupported, match="row normalization"):
+            normalized_tensor_operator(q, k, normalization="row")
+        with pytest.raises(ComplexNotSupported, match="row normalization"):
+            forward("tensor_row", AttnInputs(q, k, inputs.v))
+
 
 class TestLinearPath:
     def test_identity_inputs(self):
