@@ -36,10 +36,8 @@ from .dense import (
 from .errors import (
     AttnOpsError,
     ComplexNotSupported,
-    DegenerateDenominator,
     DegenerateNormalizer,
     DimensionMismatch,
-    DvMismatch,
     NonFiniteInput,
     NotSquare,
     ShapeTooLarge,

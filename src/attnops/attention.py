@@ -2,7 +2,7 @@
 
 These are the reference points the operator-based mechanisms are compared
 against.  All functions are pure; ``AttnInputs`` instances are immutable and
-safe to share.
+safe to share.  Kernel row sums go through ``dense.checked_normalizer``.
 """
 
 from __future__ import annotations
@@ -12,10 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import as_matrix, finite_result
-from .errors import ComplexNotSupported, DegenerateDenominator, DimensionMismatch
+from .dense import as_matrix, checked_normalizer, finite_result
+from .errors import ComplexNotSupported, DimensionMismatch
 
-KERNEL_EPSILON = 1e-12
+KERNEL_EPSILON = 1e-12  # floor on feature-row norms
 
 
 @dataclass(frozen=True)
@@ -96,27 +96,29 @@ def _feature_rows(m: np.ndarray) -> np.ndarray:
     """Map each row x to [1, x / max(||x||, KERNEL_EPSILON)]; a zero row keeps only the 1.
 
     Inner products of mapped rows are 1 + cosine similarity, non-negative and
-    close to exp near zero.
+    close to exp near zero.  A row whose squares overflow (|x| above ~1e154) is
+    mapped again from x / 2^e, 2^e just above its largest magnitude; that is
+    exact, so the row gets the bytes of any in-range power-of-two rescaling of
+    it.  The first pass's overflow RuntimeWarning still shows.
     """
     norms = np.linalg.norm(m, axis=1, keepdims=True)
+    if not math.isfinite(norms.sum()):
+        bad = ~np.isfinite(norms[:, 0])
+        m = m.copy()
+        m[bad] = np.ldexp(m[bad], -np.frexp(np.abs(m[bad]).max(axis=1, keepdims=True))[1])
+        norms[bad] = np.linalg.norm(m[bad], axis=1, keepdims=True)
     return np.hstack([np.ones((m.shape[0], 1)), m / np.maximum(norms, KERNEL_EPSILON)])
 
 
 def linear_kernel_attention(inputs: AttnInputs) -> np.ndarray:
     """Kernelized attention in the associativity-reordered linear-time form.
 
-    Computes phi(q) (phi(k)^T v) with per-row denominator phi(q) (phi(k)^T 1),
-    touching no n-by-n intermediate.  Denominators below ``KERNEL_EPSILON``
-    are reported as degenerate rather than divided through.
+    Computes phi(q) (phi(k)^T v) divided by the row sums phi(q) (phi(k)^T 1),
+    touching no n-by-n intermediate.  A row sum below 1e-12 * n raises
+    DegenerateNormalizer named ``"kernel row sum"`` rather than being divided.
     """
     require_real(inputs.is_complex, "kernel attention")
     fq = _feature_rows(inputs.q)
     fk = _feature_rows(inputs.k)
-    denominators = fq @ fk.sum(axis=0)
-    worst = int(np.argmin(denominators))
-    if denominators[worst] < KERNEL_EPSILON:
-        raise DegenerateDenominator(
-            f"row {worst} denominator {denominators[worst]:.3e} is below {KERNEL_EPSILON:.1e}",
-            value=float(denominators[worst]), threshold=KERNEL_EPSILON, row=worst,
-        )
-    return finite_result((fq @ (fk.T @ inputs.v)) / denominators[:, None], "kernel attention")
+    sums = checked_normalizer(fq @ fk.sum(axis=0), inputs.n, "kernel row sum")
+    return finite_result((fq @ (fk.T @ inputs.v)) / sums[:, None], "kernel attention")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 import time
 from dataclasses import dataclass, fields
 from statistics import median
@@ -73,8 +74,10 @@ class BenchConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "variants", tuple(self.variants))
-        object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        for name in ("n_values", "seeds"):
+            object.__setattr__(self, name, tuple(_integer(name, x) for x in getattr(self, name)))
+        for name in ("d", "repetitions", "warmup"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         known = bench_targets()
         for v in self.variants:
             if v not in known:
@@ -95,6 +98,14 @@ class BenchConfig:
             raise ValueError(f"repetitions: must be >= 3, got {self.repetitions}")
         if self.warmup < 0:
             raise ValueError("warmup: must be >= 0")
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int (numpy integers too); anything else is a ValueError naming ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name}: expected an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@
 Scalars are float64 or complex128; anything else is promoted on entry.  Every
 public operation validates shapes and finiteness before computing, never
 mutates its operands, and keeps no global state, so values can be shared
-freely across threads.
+freely across threads.  Every mechanism guards its output with ``finite_result``
+and its trace, diagonal or row-sum normalizer with ``checked_normalizer``.
 
 The vectorization convention is column-stacking throughout (the one that
 satisfies vec(AXB) = (B^T kron A) vec(X)); the partial trace assumes the
@@ -13,9 +14,11 @@ decodes as r = k*n + l, k indexing the first (dimension-m) factor.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteInput, NotSquare
+from .errors import DegenerateNormalizer, DimensionMismatch, NonFiniteInput, NotSquare
 
 REAL = np.float64
 COMPLEX = np.complex128
@@ -58,6 +61,29 @@ def finite_result(out: np.ndarray, op: str) -> np.ndarray:
     if not np.isfinite(out).all():  # the method skips np.all's dispatch; True when empty
         raise NonFiniteInput(f"{op} overflowed to non-finite values", stage=op)
     return out
+
+
+def checked_normalizer(values, size: int, name: str = "operator trace"):
+    """Return ``values`` once every entry is finite and at least 1e-12 * ``size``.
+
+    ``values`` is a scalar trace or a vector of per-row normalizers named
+    ``name`` (diagonal entries, row sums) of an operator of order ``size``.
+    An overflowed entry raises NonFiniteInput; an entry below the threshold
+    raises DegenerateNormalizer naming it, rather than being divided through
+    by an epsilon.
+    """
+    eps = 1e-12 * size
+    label, value, worst = name, values, None
+    if isinstance(values, np.ndarray):
+        finite = np.isfinite(values)
+        worst = int(np.argmin(values)) if finite.all() else int(np.argmin(finite))
+        label, value = f"{name} {worst} =", values[worst]
+    if not math.isfinite(value):
+        raise NonFiniteInput(f"{label} {value} is not finite: the inputs overflowed", stage=name)
+    if value < eps:
+        raise DegenerateNormalizer(f"{label} {value:.3e} is below {eps:.3e}",
+                                   value=float(value), threshold=eps, name=name, index=worst)
+    return values
 
 
 def gemm(a, b, *, trans_b: bool = False) -> np.ndarray:

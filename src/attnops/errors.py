@@ -30,7 +30,7 @@ class ComplexNotSupported(AttnOpsError, TypeError):
 
 
 class DegenerateNormalizer(AttnOpsError, ArithmeticError):
-    """A trace / diagonal / row-sum normalizer fell below its threshold.
+    """A trace, diagonal, row-sum or kernel row-sum normalizer fell below 1e-12 * order.
 
     ``name`` says which normalizer, ``index`` which entry of a per-row one
     (``None`` for a scalar trace), and ``value`` and ``threshold`` are the two
@@ -42,17 +42,6 @@ class DegenerateNormalizer(AttnOpsError, ArithmeticError):
         self.value, self.threshold, self.name, self.index = value, threshold, name, index
 
 
-class DegenerateDenominator(AttnOpsError, ArithmeticError):
-    """A kernel-attention row denominator fell below its threshold.
-
-    ``value`` is the smallest denominator, at ``row``, and ``threshold`` the bound.
-    """
-
-    def __init__(self, message, *, value=None, threshold=None, row=None):
-        super().__init__(message)
-        self.value, self.threshold, self.row = value, threshold, row
-
-
 class SingularDenominator(AttnOpsError, ArithmeticError):
     """Only ``expm_pade`` raises this: its rational-approximant denominator is singular.
 
@@ -62,10 +51,6 @@ class SingularDenominator(AttnOpsError, ArithmeticError):
     def __init__(self, message, *, condition=None, limit=None):
         super().__init__(message)
         self.condition, self.limit = condition, limit
-
-
-class DvMismatch(AttnOpsError, ValueError):
-    """The value width must equal the model width for this operation."""
 
 
 class UnknownVariant(AttnOpsError, KeyError):

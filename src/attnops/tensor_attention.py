@@ -30,7 +30,7 @@ reject it.  Every variant takes ``(inputs, cfg, ...)``, where
 operator of ``tensor_interaction``; only ``tensor_naive`` and
 ``normalized_tensor_operator`` take a ``normalization`` (trace, diag or row).
 Every trace, diagonal and row-sum normalizer goes through
-``checked_normalizer``, which holds the one threshold, 1e-12 times the
+``dense.checked_normalizer``, which holds the one threshold, 1e-12 times the
 operator's order.
 """
 
@@ -42,8 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attention import AttnInputs, conform_pair, require_real
-from .dense import finite_result
-from .errors import DegenerateNormalizer, NonFiniteInput
+from .dense import checked_normalizer, finite_result
 
 Q_SIDE = "q"
 K_SIDE = "k"
@@ -65,29 +64,6 @@ class TensorOpConfig:
     def __post_init__(self):
         if self.side not in _SIDES:
             raise ValueError(f"side must be one of {_SIDES}, got {self.side!r}")
-
-
-def checked_normalizer(values, size: int, name: str = "operator trace"):
-    """Return ``values`` once every entry is finite and at least 1e-12 * ``size``.
-
-    ``values`` is a scalar trace or a vector of per-row normalizers named
-    ``name`` (diagonal entries, row sums) of an operator of order ``size``.
-    An overflowed entry raises NonFiniteInput; an entry below the threshold
-    raises DegenerateNormalizer naming it, rather than being divided through
-    by an epsilon.
-    """
-    eps = 1e-12 * size
-    label, value, worst = name, values, None
-    if isinstance(values, np.ndarray):
-        finite = np.isfinite(values)
-        worst = int(np.argmin(values)) if finite.all() else int(np.argmin(finite))
-        label, value = f"{name} {worst} =", values[worst]
-    if not math.isfinite(value):
-        raise NonFiniteInput(f"{label} {value} is not finite: the inputs overflowed", stage=name)
-    if value < eps:
-        raise DegenerateNormalizer(f"{label} {value:.3e} is below {eps:.3e}",
-                                   value=float(value), threshold=eps, name=name, index=worst)
-    return values
 
 
 # Row-block size for the fast diagonal: keeps the per-block Gram product in

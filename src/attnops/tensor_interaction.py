@@ -6,8 +6,8 @@ statistics.  Training cost is linear in n and applying a cached operator is
 constant in n, which is the practical point of this mechanism.
 
 The same ``TensorOpConfig`` as the token operator's picks the flavor, the
-trace goes through the token operator's ``checked_normalizer`` (threshold
-1e-12 * d), and the output is n-by-d, as there.
+trace goes through ``dense.checked_normalizer`` (threshold 1e-12 * d), and
+the output is n-by-d, as there.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ from __future__ import annotations
 import numpy as np
 
 from .attention import AttnInputs, conform_pair
-from .dense import finite_result
-from .errors import DvMismatch
-from .tensor_attention import TensorOpConfig, checked_normalizer, flavored_product
+from .dense import checked_normalizer, finite_result
+from .errors import DimensionMismatch
+from .tensor_attention import TensorOpConfig, flavored_product
 
 
 def coupling_matrix(q, k) -> np.ndarray:
@@ -46,7 +46,7 @@ def tensor_interaction(inputs: AttnInputs, cfg: TensorOpConfig = TensorOpConfig(
     Requires square values (d_v = d) since the operator left-multiplies v^T.
     """
     if inputs.d_v != inputs.d:
-        raise DvMismatch(
+        raise DimensionMismatch(
             f"value width {inputs.d_v} must equal model width {inputs.d} for this mechanism"
         )
     t = build_interaction_operator(inputs.q, inputs.k, cfg)

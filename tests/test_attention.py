@@ -4,7 +4,7 @@ import pytest
 from attnops import (
     AttnInputs,
     ComplexNotSupported,
-    DegenerateDenominator,
+    DegenerateNormalizer,
     DimensionMismatch,
     NonFiniteInput,
     linear_kernel_attention,
@@ -157,6 +157,27 @@ class TestLinearKernelAttention:
             linear_kernel_attention(scaled), linear_kernel_attention(inputs), atol=1e-13
         )
 
+    def test_rows_whose_squares_overflow_keep_their_direction(self):
+        # Power-of-two scaling is exact, so the bytes must match the in-range call.  The
+        # loop oracle cannot check this: its float(x) ** 2 raises OverflowError.  The
+        # first pass's norm still warns, hence the errstate.
+        inputs = random_inputs(6, 3, seed=0)
+        expected = linear_kernel_attention(inputs)
+        big = 2.0**520
+        with np.errstate(over="ignore"):
+            out = linear_kernel_attention(AttnInputs(inputs.q * big, inputs.k * big, inputs.v))
+        np.testing.assert_array_equal(out, expected)
+
+        q = inputs.q.copy()
+        q[2] *= 1e200
+        in_range = q.copy()
+        in_range[2] *= 2.0**-665
+        with np.errstate(over="ignore"):
+            out = linear_kernel_attention(AttnInputs(q, inputs.k, inputs.v))
+        rescaled = linear_kernel_attention(AttnInputs(in_range, inputs.k, inputs.v))
+        np.testing.assert_array_equal(out, rescaled)
+        np.testing.assert_allclose(out, expected, atol=1e-15)
+
     def test_rejects_complex(self):
         inputs = random_inputs(3, 2, seed=15, complex_=True)
         with pytest.raises(ComplexNotSupported):
@@ -191,7 +212,7 @@ class TestLinearKernelAttention:
     def test_antipodal_rows_degenerate(self):
         q = np.tile([1.0, 0.0], (2, 1))
         k = -q
-        with pytest.raises(DegenerateDenominator):
+        with pytest.raises(DegenerateNormalizer, match="kernel row sum 0 ="):
             linear_kernel_attention(AttnInputs(q, k, np.ones((2, 2))))
 
     def test_output_within_value_envelope(self):

@@ -51,6 +51,14 @@ class TestBenchConfig:
             BenchConfig(variants=("warp",), n_values=(8,))
         with pytest.raises(TypeError, match="format"):
             BenchConfig(variants=("softmax",), n_values=(8,), format="csv")
+        config = BenchConfig(variants=("softmax",), n_values=(np.int64(8),), d=np.int32(4))
+        assert (type(config.n_values[0]), type(config.d)) == (int, int)
+
+    @pytest.mark.parametrize("field, value", [("d", 4.5), ("repetitions", "3"), ("warmup", None),
+                                              ("n_values", (8, 16.0)), ("seeds", (np.float64(0),))])
+    def test_integer_fields_reject_other_types_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field}: expected an integer"):
+            BenchConfig(**{"variants": ("softmax",), "n_values": (8,), field: value})
 
     def test_diag_routes_are_benchable(self):
         targets = bench_targets()

@@ -1,40 +1,50 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import attnops
 from attnops import (
     AttnInputs,
-    DegenerateDenominator,
     DegenerateNormalizer,
     NonFiniteInput,
     SingularDenominator,
+    errors,
     expm_pade,
+    forward,
     linear_kernel_attention,
     tensor_attention_naive,
+    tensor_interaction,
 )
 
 V = np.array([[1.0, 2.0], [3.0, 4.0]])
 
 
 def test_arithmetic_errors_carry_their_numbers():
-    zeros = AttnInputs(np.zeros((2, 2)), np.zeros((2, 2)), V)
-    with pytest.raises(DegenerateNormalizer, match="operator trace 0.000e") as trace:
-        tensor_attention_naive(zeros)
-    assert vars(trace.value) == {"value": 0.0, "threshold": 2e-12, "name": "operator trace",
-                                 "index": None}
-
-    q = np.array([[1.0, 0.0], [0.0, 0.0]])
-    with pytest.raises(DegenerateNormalizer, match="diagonal entry 1 =") as diag:
-        tensor_attention_naive(AttnInputs(q, q, V), normalization="diag")
-    assert vars(diag.value) == {"value": 0.0, "threshold": 2e-12, "name": "diagonal entry",
-                                "index": 1}
-
-    # feature rows give row 0 a denominator of 2 and row 1 exactly 0
-    q, k = np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([[-1.0, 0.0], [-1.0, 0.0]])
-    with pytest.raises(DegenerateDenominator, match="row 1 denominator") as kernel:
-        linear_kernel_attention(AttnInputs(q, k, V))
-    assert vars(kernel.value) == {"value": 0.0, "threshold": 1e-12, "row": 1}
+    # Every normalizer has one rule: below 1e-12 times its operator's order it raises,
+    # naming the entry.  Each case is (call, name, index, order).
+    zeros, wide = np.zeros((2, 2)), np.zeros((2, 3))  # n = 2; d = 2, or 3 for the channel order
+    e1 = np.array([[1.0, 0.0], [0.0, 0.0]])  # token operator diag(1, 0)
+    e1_3 = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])  # diag(1, 0, 0)
+    # feature rows give row 0 a kernel row sum of 2 and row 1 exactly 0
+    kq, kk = np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([[-1.0, 0.0], [-1.0, 0.0]])
+    cases = [
+        (lambda: tensor_attention_naive(AttnInputs(zeros, zeros, V)), "operator trace", None, 2),
+        (lambda: tensor_attention_naive(AttnInputs(e1, e1, V), normalization="diag"),
+         "diagonal entry", 1, 2),
+        (lambda: forward("tensor_row", AttnInputs(e1_3, e1_3, np.ones((3, 2)))), "row sum", 1, 3),
+        (lambda: tensor_interaction(AttnInputs(wide, wide, np.ones((2, 3)))), "operator trace",
+         None, 3),
+        (lambda: linear_kernel_attention(AttnInputs(kq, kk, V)), "kernel row sum", 1, 2),
+    ]
+    for call, name, index, order in cases:
+        label = name if index is None else f"{name} {index} ="
+        with pytest.raises(DegenerateNormalizer, match=f"^{label} 0.000e\\+00 is below") as err:
+            call()
+        assert vars(err.value) == {"value": 0.0, "threshold": 1e-12 * order, "name": name,
+                                   "index": index}
 
     # the [1/1] denominator 1 - x/2 is diag(q11, 1) here, with condition 1 / q11 ~ 1e14
     a = np.diag([2.0 - 2e-14, 0.0])
@@ -68,3 +78,18 @@ def test_non_finite_input_names_its_stage():
     with pytest.raises(NonFiniteInput, match="kernel attention overflowed") as result:
         linear_kernel_attention(AttnInputs(np.eye(2), np.eye(2), np.full((2, 2), 1e308)))
     assert vars(result.value) == {"stage": "kernel attention"}
+
+
+def test_every_error_class_is_exported_and_raised():
+    classes = {name for name, obj in vars(errors).items()
+               if isinstance(obj, type) and obj.__module__ == errors.__name__}
+    raised = set()
+    for path in Path(attnops.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
+    unexported = sorted(c for c in classes if getattr(attnops, c, None) is not getattr(errors, c))
+    assert not unexported
+    # AttnOpsError is the base every other class derives from; it is caught, never raised.
+    assert classes - raised == {"AttnOpsError"}

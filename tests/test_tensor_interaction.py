@@ -4,7 +4,7 @@ import pytest
 from attnops import (
     AttnInputs,
     DegenerateNormalizer,
-    DvMismatch,
+    DimensionMismatch,
     TensorOpConfig,
     build_interaction_operator,
     coupling_matrix,
@@ -78,7 +78,7 @@ class TestTensorInteraction:
 
     def test_rectangular_values_rejected(self):
         inputs = random_inputs(4, 3, d_v=2, seed=6)
-        with pytest.raises(DvMismatch):
+        with pytest.raises(DimensionMismatch, match="value width 2 must equal model width 3"):
             tensor_interaction(inputs)
 
     def test_zero_inputs_degenerate(self):
