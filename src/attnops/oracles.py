@@ -316,9 +316,14 @@ def _naive_kernel(inputs: AttnInputs) -> np.ndarray:
     n, d = q.shape
 
     def features(row):
-        norm = math.sqrt(sum(float(x) ** 2 for x in row))
-        norm = max(norm, _KERNEL_NORM_FLOOR)
-        return [1.0] + [float(x) / norm for x in row]
+        xs = [float(x) for x in row]
+        # with 2^e the power of two at or below the largest |x|, the squares of x / 2^e stay
+        # below 4: the loop norm neither overflows nor underflows to zero
+        scale = math.ldexp(1.0, math.frexp(max(abs(x) for x in xs))[1] - 1)
+        root = math.sqrt(sum((x / scale) ** 2 for x in xs))
+        if scale * root < _KERNEL_NORM_FLOOR:
+            return [1.0] + [x / _KERNEL_NORM_FLOOR for x in xs]
+        return [1.0] + [x / scale / root for x in xs]
 
     fq = [features(q[i]) for i in range(n)]
     fk = [features(k[j]) for j in range(n)]

@@ -21,6 +21,19 @@ ufunc, operands in its order).  The row-local steps keep their bytes, and the
 GEMMs keep them where BLAS rounds a row tile as it rounds the whole matrix
 (OpenBLAS does at the benchmark shapes, not at all shapes).
 
+The tiles of an MLP half run in contiguous chunks, one per CPU in the
+process's affinity (``os.sched_getaffinity``, else ``os.cpu_count``).  The
+caller's thread runs the first chunk; a module-level pool of CPUs - 1 threads,
+made on first need, runs the rest, each chunk in a copy of the caller's context
+(numpy's ``errstate`` lives there).  numpy's ufuncs, scipy's ``erf`` and BLAS
+release the GIL, so the chunks run at once.  A chunk runs exactly the tiles of
+the serial loop, on its own tile buffers, and writes only its own rows, so the
+bytes do not depend on the CPU count.  A half of one tile, or a process held to
+one CPU (``taskset -c 0``), runs the serial loop on the caller's thread.  Only
+these tiles go to the pool: the mixer, which may be user code, and the other
+layer norms stay on the caller's thread, so no pool task waits on the pool.  A
+forked child drops the parent's pool, whose threads it does not have.
+
 Layer norm forms one mean and reduces the variance from the centered rows as
 ``ndarray.var`` does, so its bytes are those of the two-call formula without
 var's second mean and full-size temporary.  A row whose variance overflows,
@@ -36,8 +49,11 @@ forward timed after ``vit_init`` never includes the import.
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -260,8 +276,64 @@ def _tile_starts(n: int, hidden: int) -> range:
     return range(0, max(1, n - 1), max(2, _TILE_ELEMENTS // max(1, hidden)))
 
 
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# The ThreadPoolExecutor that runs the MLP half's chunks past the caller's, made on first
+# need (so is its import, which loads logging).
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _drop_pool() -> None:
+    """Forget the pool and its lock: a forked child has none of the parent's threads."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _run_chunks(run: Callable[[int, int], None], count: int) -> None:
+    """``run(first, last)`` over tiles ``0:count``, in one contiguous chunk per CPU.
+
+    The caller's thread runs the first chunk and the pool the others, each in a
+    copy of the caller's context.  Every chunk has finished when this returns; a
+    chunk's exception is raised here.
+    """
+    global _pool
+    cpus = _cpus() if count > 1 else 1
+    if cpus < 2:
+        run(0, count)
+        return
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(cpus - 1, thread_name_prefix="attnops-mlp")
+        pool = _pool
+    chunks = min(count, cpus)
+    bounds = [i * count // chunks for i in range(chunks + 1)]
+    futures = [pool.submit(contextvars.copy_context().run, run, first, last)
+               for first, last in zip(bounds[1:-1], bounds[2:])]
+    try:
+        run(bounds[0], bounds[1])
+    finally:  # no worker may still be writing rows when the call returns
+        for future in futures:
+            future.exception()  # waits, raising nothing
+    for future in futures:
+        future.result()
+
+
 def _mlp_half(tokens: np.ndarray, mixed: np.ndarray, b: BlockParams, stop: int) -> np.ndarray:
-    """Rows ``:stop`` of ``tokens + mixed`` plus the MLP of its LN2, tile by tile.
+    """Rows ``:stop`` of ``tokens + mixed`` plus the MLP of its LN2, tile by tile, in one
+    chunk of tiles per CPU (``_run_chunks``).
 
     The half is row-local, so the last block stops at the class token's two-row
     head (one row would go to gemv).  Buffers get each step's dtype.
@@ -273,23 +345,29 @@ def _mlp_half(tokens: np.ndarray, mixed: np.ndarray, b: BlockParams, stop: int) 
     tile = starts.step
     hidden_type = np.result_type(tokens, b.ln2_scale, b.ln2_shift, b.mlp_w1)
     out_type = np.result_type(hidden_type, b.mlp_b1, b.mlp_w2)  # gelu keeps a float64+ dtype
-    # one tile each, with room for a last tile that absorbs a one-row remainder
-    ln_buf, hidden_buf, out_buf = (np.empty((min(stop, tile + 1), cols), dtype) for cols, dtype in (
-        (width, tokens.dtype), (b.mlp_w1.shape[1], hidden_type), (b.mlp_w2.shape[1], out_type)))
     result_type = np.result_type(out_type, b.mlp_b2)
     result = tokens if result_type == tokens.dtype else np.empty(tokens.shape, result_type)
     bounds = [*starts, stop]
-    for start, end in zip(bounds, bounds[1:]):
-        x, rows = tokens[start:end], end - start
-        # a parameter with a row per token is broadcast tile by tile, as the whole array was
-        scale, shift, b1, b2 = (p[start:end] if np.ndim(p) == 2 and len(p) == n else p
-                                for p in (b.ln2_scale, b.ln2_shift, b.mlp_b1, b.mlp_b2))
-        np.add(x, mixed[start:end], out=x)
-        normed = _layer_norm(x, scale, shift, ln_buf[:rows])
-        hidden = _into(np.add, np.matmul(normed, b.mlp_w1, out=hidden_buf[:rows]), b1)
-        _gelu_into(hidden, hidden)
-        out = _into(np.add, np.matmul(hidden, b.mlp_w2, out=out_buf[:rows]), b2)
-        np.add(x, out, out=result[start:end])
+
+    def run_tiles(first: int, last: int) -> None:
+        # one tile each, with room for a last tile that absorbs a one-row remainder
+        ln_buf, hidden_buf, out_buf = (
+            np.empty((min(stop, tile + 1), cols), dtype) for cols, dtype in (
+                (width, tokens.dtype), (b.mlp_w1.shape[1], hidden_type),
+                (b.mlp_w2.shape[1], out_type)))
+        for start, end in zip(bounds[first:last], bounds[first + 1:last + 1]):
+            x, rows = tokens[start:end], end - start
+            # a parameter with a row per token is broadcast tile by tile, as the whole array was
+            scale, shift, b1, b2 = (p[start:end] if np.ndim(p) == 2 and len(p) == n else p
+                                    for p in (b.ln2_scale, b.ln2_shift, b.mlp_b1, b.mlp_b2))
+            np.add(x, mixed[start:end], out=x)
+            normed = _layer_norm(x, scale, shift, ln_buf[:rows])
+            hidden = _into(np.add, np.matmul(normed, b.mlp_w1, out=hidden_buf[:rows]), b1)
+            _gelu_into(hidden, hidden)
+            out = _into(np.add, np.matmul(hidden, b.mlp_w2, out=out_buf[:rows]), b2)
+            np.add(x, out, out=result[start:end])
+
+    _run_chunks(run_tiles, len(starts))
     return result
 
 

@@ -158,25 +158,29 @@ class TestLinearKernelAttention:
         )
 
     def test_rows_whose_squares_overflow_keep_their_direction(self):
-        # Power-of-two scaling is exact, so the bytes must match the in-range call.  The
-        # loop oracle cannot check this: its float(x) ** 2 raises OverflowError.  The
-        # first pass's norm still warns, hence the errstate.
+        # Power-of-two scaling is exact, so the bytes must match the in-range call, and
+        # the loop oracle, whose norm is scaled too, must agree.  The first pass's norm
+        # still warns, hence the errstate.
         inputs = random_inputs(6, 3, seed=0)
         expected = linear_kernel_attention(inputs)
         big = 2.0**520
+        scaled = AttnInputs(inputs.q * big, inputs.k * big, inputs.v)
         with np.errstate(over="ignore"):
-            out = linear_kernel_attention(AttnInputs(inputs.q * big, inputs.k * big, inputs.v))
+            out = linear_kernel_attention(scaled)
         np.testing.assert_array_equal(out, expected)
+        np.testing.assert_allclose(out, naive_reference(scaled, "kernel"), rtol=1e-10)
 
         q = inputs.q.copy()
         q[2] *= 1e200
         in_range = q.copy()
         in_range[2] *= 2.0**-665
+        one_row = AttnInputs(q, inputs.k, inputs.v)
         with np.errstate(over="ignore"):
-            out = linear_kernel_attention(AttnInputs(q, inputs.k, inputs.v))
+            out = linear_kernel_attention(one_row)
         rescaled = linear_kernel_attention(AttnInputs(in_range, inputs.k, inputs.v))
         np.testing.assert_array_equal(out, rescaled)
         np.testing.assert_allclose(out, expected, atol=1e-15)
+        np.testing.assert_allclose(out, naive_reference(one_row, "kernel"), rtol=1e-10)
 
     def test_rejects_complex(self):
         inputs = random_inputs(3, 2, seed=15, complex_=True)

@@ -1,7 +1,14 @@
 import dataclasses
 import importlib.util
+import json
 import math
+import os
+import signal
+import subprocess
 import sys
+import textwrap
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -399,6 +406,206 @@ class TestForward:
             assert np.all(np.isfinite(out))
             outputs[mechanism] = array_checksum(out)
         assert outputs["softmax"] != outputs["tensor_naive"]
+
+
+def identity_checksums():
+    """Checksums of forwards whose bytes must not depend on how many CPUs run the MLP tiles:
+    the benchmark's encoder cells, every TOKEN_COUNTS at depth 3 and one promoted dtype."""
+    sums = {}
+    with pytest.MonkeyPatch.context() as mp:
+        for workload in ("encoder_long", "encoder_short"):
+            sums[workload] = [array_checksum(vit_forward(params, patches))
+                              for params, patches in benchmark_cells(mp, workload)]
+    for tokens in TOKEN_COUNTS:
+        params = vit_init(6, 8, HIDDEN, tokens - 1, 3, seed=22, mechanism="tensor_linear")
+        patches = random_matrix(tokens - 1, 6, seed=22)
+        sums[f"{tokens} tokens"] = array_checksum(vit_forward(params, patches))
+    tokens = 2 * TILE + 1
+    params = vit_init(6, 8, HIDDEN, tokens - 1, 3, seed=23, mechanism="tensor_linear")
+    params = PROMOTIONS["complex mlp_w2"](params)
+    sums["complex mlp_w2"] = array_checksum(vit_forward(params, random_matrix(tokens - 1, 6, seed=23)))
+    return sums
+
+
+def _two_tile_case(mechanism="tensor_linear", seed=24, depth=2):
+    """An encoder of 2 * TILE + 1 tokens, whose MLP halves before the last hold two tiles,
+    and its patches."""
+    tokens = 2 * TILE + 1
+    params = vit_init(6, 8, HIDDEN, tokens - 1, depth, seed=seed, mechanism=mechanism)
+    return params, random_matrix(tokens - 1, 6, seed=seed)
+
+
+def _serial_forward(monkeypatch, params, patches):
+    """``vit_forward`` with every MLP tile on the caller's thread, as on one CPU."""
+    with monkeypatch.context() as m:
+        m.setattr(vit_module, "_cpus", lambda: 1)
+        return vit_forward(params, patches)
+
+
+SEVERAL_CPUS = pytest.mark.skipif(vit_module._cpus() < 2,
+                                  reason="this process may run on one CPU only")
+
+
+class TestParallelTiles:
+    """The MLP half's tiles run in one chunk per CPU; the bytes are those of the serial loop."""
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
+    def test_bytes_equal_those_of_a_process_held_to_one_cpu(self):
+        code = textwrap.dedent("""
+            import json, os
+            os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+            from attnops import vit
+            from test_vit import identity_checksums
+            print(json.dumps({"cpus": vit._cpus(), "sums": identity_checksums()}))
+        """)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+            str(Path(vit_module.__file__).resolve().parents[1]), str(Path(__file__).parent),
+            env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr[-2000:]
+        pinned = json.loads(done.stdout.splitlines()[-1])
+        assert pinned["cpus"] == 1
+        assert pinned["sums"] == identity_checksums()
+
+    @SEVERAL_CPUS
+    def test_tiles_run_on_more_than_one_thread(self, monkeypatch):
+        threads = set()
+        gelu_into = vit_module._gelu_into
+
+        def recording(x, out):
+            threads.add(threading.get_ident())
+            gelu_into(x, out)
+
+        params, patches = _two_tile_case()
+        expected = _serial_forward(monkeypatch, params, patches)
+        monkeypatch.setattr(vit_module, "_gelu_into", recording)
+        assert_same_bytes(vit_forward(params, patches), expected)
+        assert threading.get_ident() in threads and len(threads) > 1
+
+    def test_one_tile_never_reaches_the_pool(self, monkeypatch):
+        """A half of one tile (65 tokens, as in encoder_short) takes the serial loop."""
+        def no_cpus():
+            raise AssertionError("the CPU count was read for a one-tile half")
+
+        params = vit_init(6, 8, HIDDEN, 64, 2, seed=25, mechanism="tensor_linear")
+        patches = random_matrix(64, 6, seed=25)
+        expected = vit_forward(params, patches)
+        monkeypatch.setattr(vit_module, "_cpus", no_cpus)
+        assert_same_bytes(vit_forward(params, patches), expected)
+
+    def test_workers_keep_the_callers_errstate(self):
+        """A row whose LN2 variance overflows, in the last tile and so in a worker's chunk
+        when there are two CPUs or more, warns only where the caller lets it."""
+        params, patches = _two_tile_case()
+        tokens = len(patches) + 1
+        big = np.zeros((tokens, params.width))
+        big[-1, ::2], big[-1, 1::2] = 1e200, -1e200  # squares overflow, entries do not
+        first_block = []
+
+        def mixer(attn):
+            first_block.append(not first_block)
+            return big if first_block[-1] else np.zeros((attn.n, attn.d))
+
+        params = dataclasses.replace(params, mechanism=mixer)
+        with pytest.raises(RuntimeWarning, match="overflow"):  # pyproject's error filter
+            vit_forward(params, patches)
+        first_block.clear()
+        with np.errstate(over="ignore"):
+            out = vit_forward(params, patches)
+        assert np.isfinite(out).all()
+
+    def test_concurrent_callers_each_get_the_serial_bytes(self, monkeypatch):
+        """More callers than CPUs, switching threads often, share the pool; each call's rows
+        are its own."""
+        cases = [_two_tile_case(mechanism, seed)
+                 for mechanism, seed in (("tensor_linear", 26), ("softmax", 27))]
+        expected = [_serial_forward(monkeypatch, *case) for case in cases]
+        callers = 2 * max(2, vit_module._cpus())
+        start = threading.Barrier(callers)
+        got = [[] for _ in range(callers)]
+
+        def call(i):
+            start.wait()
+            for _ in range(3):
+                got[i].append(vit_forward(*cases[i % len(cases)]))
+
+        threads = [threading.Thread(target=call, args=(i,)) for i in range(callers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for i, outs in enumerate(got):
+            assert len(outs) == 3
+            for out in outs:
+                assert_same_bytes(out, expected[i % len(cases)])
+
+    def test_a_tile_error_reaches_the_caller(self):
+        params, patches = _two_tile_case()
+        params = _recast_blocks(params, lambda w: w[:-1], "mlp_w1")  # one input row short
+        with pytest.raises(ValueError, match="matmul"):
+            vit_forward(params, patches)
+
+    @SEVERAL_CPUS
+    def test_a_worker_error_is_raised_after_every_chunk_ends(self, monkeypatch):
+        """A worker's exception reaches the caller; when the caller's own chunk fails first,
+        the call still returns only after the workers have stopped writing rows."""
+        caller = threading.get_ident()
+        gelu_into = vit_module._gelu_into
+        finished = []
+
+        def failing_off_the_caller(x, out):
+            if threading.get_ident() != caller:
+                raise ArithmeticError("worker tile")
+            gelu_into(x, out)
+
+        def slow_off_the_caller(x, out):
+            if threading.get_ident() == caller:
+                raise ArithmeticError("caller tile")
+            time.sleep(0.2)
+            gelu_into(x, out)
+            finished.append(len(x))
+
+        params, patches = _two_tile_case()
+        monkeypatch.setattr(vit_module, "_gelu_into", failing_off_the_caller)
+        with pytest.raises(ArithmeticError, match="worker tile"):
+            vit_forward(params, patches)
+        monkeypatch.setattr(vit_module, "_gelu_into", slow_off_the_caller)
+        with pytest.raises(ArithmeticError, match="caller tile"):
+            vit_forward(params, patches)
+        assert sum(finished) == len(patches) + 1 - TILE  # the worker's chunk, every row of it
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+    def test_a_forked_child_runs_its_own_tiles(self):
+        """A child forked after a pooled forward has none of the pool's threads; its forward
+        must neither wait on them nor change the bytes."""
+        params, patches = _two_tile_case()
+        expected = array_checksum(vit_forward(params, patches))
+        pid = os.fork()
+        if pid == 0:  # the child leaves through os._exit alone, never back into pytest
+            code = 2
+            try:
+                code = 0 if array_checksum(vit_forward(params, patches)) == expected else 1
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 10.0
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child's forward did not finish in 10 s")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(status) == 0
 
 
 class TestLayerNorm:
