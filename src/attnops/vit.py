@@ -23,16 +23,18 @@ GEMMs keep them where BLAS rounds a row tile as it rounds the whole matrix
 
 The tiles of an MLP half run in contiguous chunks, one per CPU in the
 process's affinity (``os.sched_getaffinity``, else ``os.cpu_count``).  The
-caller's thread runs the first chunk; a module-level pool of CPUs - 1 threads,
-made on first need, runs the rest, each chunk in a copy of the caller's context
-(numpy's ``errstate`` lives there).  numpy's ufuncs, scipy's ``erf`` and BLAS
-release the GIL, so the chunks run at once.  A chunk runs exactly the tiles of
-the serial loop, on its own tile buffers, and writes only its own rows, so the
-bytes do not depend on the CPU count.  A half of one tile, or a process held to
-one CPU (``taskset -c 0``), runs the serial loop on the caller's thread.  Only
-these tiles go to the pool: the mixer, which may be user code, and the other
-layer norms stay on the caller's thread, so no pool task waits on the pool.  A
-forked child drops the parent's pool, whose threads it does not have.
+caller's thread runs the first chunk and a thread started for the call runs
+each other one, in a copy of the caller's context (numpy's ``errstate`` lives
+there); the call joins them before it returns.  numpy's ufuncs, scipy's ``erf``
+and BLAS release the GIL, so with one BLAS thread the chunks run at once; with a
+multi-threaded BLAS their GEMMs compete with its threads, and on a 2-vCPU VM
+they gained nothing.  A chunk runs exactly the tiles of the serial loop, on its
+own tile buffers, and writes only its own rows, so the bytes do not depend on
+the CPU count.  A half of one tile, or a process held to one CPU
+(``taskset -c 0``), runs the serial loop on the caller's thread, as does a
+chunk whose thread cannot start (at interpreter shutdown).  Only these tiles
+leave the caller's thread: the mixer, which may be user code, and the other
+layer norms stay on it.
 
 Layer norm forms one mean and reduces the variance from the centered rows as
 ``ndarray.var`` does, so its bytes are those of the two-call formula without
@@ -284,51 +286,44 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-# The ThreadPoolExecutor that runs the MLP half's chunks past the caller's, made on first
-# need (so is its import, which loads logging).
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _drop_pool() -> None:
-    """Forget the pool and its lock: a forked child has none of the parent's threads."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_pool)
-
-
 def _run_chunks(run: Callable[[int, int], None], count: int) -> None:
     """``run(first, last)`` over tiles ``0:count``, in one contiguous chunk per CPU.
 
-    The caller's thread runs the first chunk and the pool the others, each in a
-    copy of the caller's context.  Every chunk has finished when this returns; a
-    chunk's exception is raised here.
+    The caller's thread runs the first chunk, and a thread started for this call
+    runs each other chunk in a copy of the caller's context.  Where no thread
+    starts (at interpreter shutdown, say), the caller runs that chunk itself.
+    Every chunk has finished when this returns; a chunk's exception is raised here.
     """
-    global _pool
-    cpus = _cpus() if count > 1 else 1
-    if cpus < 2:
+    chunks = min(count, _cpus()) if count > 1 else 1
+    if chunks == 1:
         run(0, count)
         return
-    with _pool_lock:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _pool = ThreadPoolExecutor(cpus - 1, thread_name_prefix="attnops-mlp")
-        pool = _pool
-    chunks = min(count, cpus)
     bounds = [i * count // chunks for i in range(chunks + 1)]
-    futures = [pool.submit(contextvars.copy_context().run, run, first, last)
-               for first, last in zip(bounds[1:-1], bounds[2:])]
+    errors = []
+
+    def guarded(first: int, last: int) -> None:
+        try:
+            run(first, last)
+        except BaseException as error:  # raised on the caller's thread, below
+            errors.append(error)
+
+    threads = []
     try:
+        for first, last in zip(bounds[1:-1], bounds[2:]):
+            thread = threading.Thread(target=contextvars.copy_context().run,
+                                      args=(guarded, first, last), daemon=True)
+            try:
+                thread.start()
+            except RuntimeError:  # "can't start new thread" / "... at interpreter shutdown"
+                guarded(first, last)
+            else:
+                threads.append(thread)
         run(bounds[0], bounds[1])
     finally:  # no worker may still be writing rows when the call returns
-        for future in futures:
-            future.exception()  # waits, raising nothing
-    for future in futures:
-        future.result()
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def _mlp_half(tokens: np.ndarray, mixed: np.ndarray, b: BlockParams, stop: int) -> np.ndarray:

@@ -442,6 +442,15 @@ def _serial_forward(monkeypatch, params, patches):
         return vit_forward(params, patches)
 
 
+def _child_env() -> dict:
+    """The environment for a child Python that imports this ``attnops`` and this module."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(vit_module.__file__).resolve().parents[1]), str(Path(__file__).parent),
+        env.get("PYTHONPATH")]))
+    return env
+
+
 SEVERAL_CPUS = pytest.mark.skipif(vit_module._cpus() < 2,
                                   reason="this process may run on one CPU only")
 
@@ -458,12 +467,8 @@ class TestParallelTiles:
             from test_vit import identity_checksums
             print(json.dumps({"cpus": vit._cpus(), "sums": identity_checksums()}))
         """)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
-            str(Path(vit_module.__file__).resolve().parents[1]), str(Path(__file__).parent),
-            env.get("PYTHONPATH")]))
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, timeout=120)
+        done = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                              capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr[-2000:]
         pinned = json.loads(done.stdout.splitlines()[-1])
         assert pinned["cpus"] == 1
@@ -484,7 +489,7 @@ class TestParallelTiles:
         assert_same_bytes(vit_forward(params, patches), expected)
         assert threading.get_ident() in threads and len(threads) > 1
 
-    def test_one_tile_never_reaches_the_pool(self, monkeypatch):
+    def test_one_tile_never_reads_the_cpu_count(self, monkeypatch):
         """A half of one tile (65 tokens, as in encoder_short) takes the serial loop."""
         def no_cpus():
             raise AssertionError("the CPU count was read for a one-tile half")
@@ -517,8 +522,8 @@ class TestParallelTiles:
         assert np.isfinite(out).all()
 
     def test_concurrent_callers_each_get_the_serial_bytes(self, monkeypatch):
-        """More callers than CPUs, switching threads often, share the pool; each call's rows
-        are its own."""
+        """More callers than CPUs, switching threads often, each start their own workers;
+        each call's rows are its own."""
         cases = [_two_tile_case(mechanism, seed)
                  for mechanism, seed in (("tensor_linear", 26), ("softmax", 27))]
         expected = [_serial_forward(monkeypatch, *case) for case in cases]
@@ -582,10 +587,46 @@ class TestParallelTiles:
             vit_forward(params, patches)
         assert sum(finished) == len(patches) + 1 - TILE  # the worker's chunk, every row of it
 
+    def test_a_chunk_whose_thread_cannot_start_runs_on_the_caller(self, monkeypatch):
+        params, patches = _two_tile_case()
+        expected = _serial_forward(monkeypatch, params, patches)
+
+        def refuse(thread):
+            raise RuntimeError("can't create new thread at interpreter shutdown")
+
+        monkeypatch.setattr(vit_module, "_cpus", lambda: 2)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert_same_bytes(vit_forward(params, patches), expected)
+
+    @pytest.mark.parametrize("late", ["non-daemon thread", "atexit"])
+    def test_a_forward_during_interpreter_shutdown_gets_the_serial_bytes(self, late):
+        """A multi-tile forward still running once the main thread has returned, or called
+        from an atexit handler, finishes with the serial bytes."""
+        code = textwrap.dedent(f"""
+            import atexit, threading, time
+            from test_vit import _two_tile_case, array_checksum, vit_forward
+            params, patches = _two_tile_case()
+
+            def late():
+                time.sleep(0.2 if {late!r} != "atexit" else 0)
+                print("sum", array_checksum(vit_forward(params, patches)), flush=True)
+
+            if {late!r} == "atexit":
+                atexit.register(late)
+            else:
+                threading.Thread(target=late).start()
+        """)
+        done = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0 and not done.stderr, done.stderr[-2000:]
+        params, patches = _two_tile_case()
+        expected = array_checksum(vit_forward(params, patches))
+        assert done.stdout.split() == ["sum", expected]
+
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
     def test_a_forked_child_runs_its_own_tiles(self):
-        """A child forked after a pooled forward has none of the pool's threads; its forward
-        must neither wait on them nor change the bytes."""
+        """A child forked after a threaded forward has none of the parent's threads; its
+        forward must neither wait on them nor change the bytes."""
         params, patches = _two_tile_case()
         expected = array_checksum(vit_forward(params, patches))
         pid = os.fork()
