@@ -107,7 +107,10 @@ def _feature_rows(m: np.ndarray) -> np.ndarray:
         m = m.copy()
         m[bad] = np.ldexp(m[bad], -np.frexp(np.abs(m[bad]).max(axis=1, keepdims=True))[1])
         norms[bad] = np.linalg.norm(m[bad], axis=1, keepdims=True)
-    return np.hstack([np.ones((m.shape[0], 1)), m / np.maximum(norms, KERNEL_EPSILON)])
+    rows = np.empty((m.shape[0], m.shape[1] + 1))
+    rows[:, 0] = 1.0
+    np.divide(m, np.maximum(norms, KERNEL_EPSILON), out=rows[:, 1:])
+    return rows
 
 
 def linear_kernel_attention(inputs: AttnInputs) -> np.ndarray:
@@ -121,4 +124,5 @@ def linear_kernel_attention(inputs: AttnInputs) -> np.ndarray:
     fq = _feature_rows(inputs.q)
     fk = _feature_rows(inputs.k)
     sums = checked_normalizer(fq @ fk.sum(axis=0), inputs.n, "kernel row sum")
-    return finite_result((fq @ (fk.T @ inputs.v)) / sums[:, None], "kernel attention")
+    out = fq @ (fk.T @ inputs.v)
+    return finite_result(np.divide(out, sums[:, None], out=out), "kernel attention")

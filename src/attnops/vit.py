@@ -12,14 +12,15 @@ for comparing mechanisms end to end.
 
 Allocation discipline: the mixer gets a layer-normed copy of the tokens and
 its output is only read, since a callable mixer may keep either.  The rest of a
-block runs over row tiles, so no n-by-hidden array exists; the last tile absorbs
-a one-row remainder, which numpy would send to gemv.  That rest is row-local and
-only the class token is read out, so the last block runs it on rows 0:2 alone
-(two rows, again for gemv) and skips 1/depth of the MLP work.  Gelu runs in
-place on each tile (``_gelu_into``: ``gelu``'s one-line formula, ufunc by
-ufunc, operands in its order).  The row-local steps keep their bytes, and the
-GEMMs keep them where BLAS rounds a row tile as it rounds the whole matrix
-(OpenBLAS does at the benchmark shapes, not at all shapes).
+block runs over row tiles of about 65536 hidden activations (256 rows at hidden
+256), so no n-by-hidden array exists; the last tile absorbs a one-row
+remainder, which numpy would send to gemv.  That rest is row-local and only the
+class token is read out, so the last block runs it on rows 0:2 alone (two rows,
+again for gemv) and skips 1/depth of the MLP work.  Gelu runs in place on each
+tile (``_gelu_into``: ``gelu``'s one-line formula, ufunc by ufunc, operands in
+its order).  The row-local steps keep their bytes, and the GEMMs keep them where
+BLAS rounds a row tile as it rounds the whole matrix (OpenBLAS does at the
+benchmark shapes, not at all shapes).
 
 The tiles of an MLP half run in contiguous chunks, one per CPU in the
 process's affinity (``os.sched_getaffinity``, else ``os.cpu_count``).  The
@@ -35,6 +36,13 @@ the CPU count.  A half of one tile, or a process held to one CPU
 chunk whose thread cannot start (at interpreter shutdown).  Only these tiles
 leave the caller's thread: the mixer, which may be user code, and the other
 layer norms stay on it.
+
+The tile size serves two limits.  One tile's buffers and gelu's temporary, about
+1.3 MB of float64 at 256 rows, stay in a 2-MB per-core L2.  And each of a tile's
+24 numpy calls holds the GIL while Python dispatches it, so the chunks take
+turns on the GIL once per call: fewer, larger tiles mean fewer hand-offs.  The
+dtypes, in-place choices and row-per-token parameters are decided once per
+half, not per tile, for the same reason.
 
 Layer norm forms one mean and reduces the variance from the centered rows as
 ``ndarray.var`` does, so its bytes are those of the two-call formula without
@@ -67,8 +75,9 @@ from .errors import DimensionMismatch
 from .registry import forward as registry_forward
 
 LAYER_NORM_EPS = 1e-5
-# Hidden activations per MLP row tile: a tile and its temporaries stay in cache.
-_TILE_ELEMENTS = 16384
+# Hidden activations per MLP row tile: its buffers stay in a 2-MB L2, and few tiles mean few
+# GIL hand-offs between chunks (module docstring).  At 8x this, the temporaries page-fault.
+_TILE_ELEMENTS = 65536
 _SQRT2 = math.sqrt(2.0)
 
 
@@ -203,8 +212,8 @@ def _squared_row_mean(centered: np.ndarray) -> np.ndarray:
     return np.true_divide(var, np.intp(centered.shape[-1]), out=var, casting="unsafe")
 
 
-def _layer_norm(x: np.ndarray, scale, shift, out: np.ndarray | None = None) -> np.ndarray:
-    """``layer_norm``, with ``x - mean`` written into ``out`` (of its dtype and shape) if given.
+def _standardize(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``layer_norm`` without its scale and shift, into ``out`` (of its dtype and shape) if given.
 
     One mean serves the shift and the variance, which is reduced from squares
     written into ``out`` before it takes ``x - mean`` again (a pass, not a
@@ -221,7 +230,7 @@ def _layer_norm(x: np.ndarray, scale, shift, out: np.ndarray | None = None) -> n
     # one BLAS dot, cheaper than isfinite(var).all(); its false alarm past 1e154 changes nothing
     if not math.isfinite(np.vdot(var, var)):
         _rescale_overflowed_rows(*np.atleast_2d(x, out, var))
-    return _into(np.add, _into(np.multiply, out, scale), shift)
+    return out
 
 
 def _rescale_overflowed_rows(x: np.ndarray, out: np.ndarray, var: np.ndarray) -> None:
@@ -246,7 +255,7 @@ def layer_norm(x: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarra
     ``overflow encountered in square``: under ``-W error`` or pytest's
     ``error::RuntimeWarning`` the call raises instead.
     """
-    return _layer_norm(x, scale, shift)
+    return _into(np.add, _into(np.multiply, _standardize(x), scale), shift)
 
 
 @functools.cache
@@ -336,30 +345,44 @@ def _mlp_half(tokens: np.ndarray, mixed: np.ndarray, b: BlockParams, stop: int) 
     n, width = tokens.shape  # a parameter with a row per token still has n rows
     # the forward's own array: a view of it is written in place
     tokens = tokens[:stop].astype(np.result_type(mixed, tokens), copy=False)
-    starts = _tile_starts(stop, b.mlp_w1.shape[1])
+    n_hidden, n_out = b.mlp_w1.shape[1], b.mlp_w2.shape[1]
+    starts = _tile_starts(stop, n_hidden)
     tile = starts.step
+    # Once per half, not per tile: each step's dtype; which parameters have a row per token,
+    # to broadcast tile by tile as the whole array was; and whether the affine and bias steps
+    # run in place: when their dtype holds through the next GEMM (``_into``'s test, or
+    # stricter) and their parameters are a row of the step's width or one per token (other
+    # shapes allocate, as the formula does).
     hidden_type = np.result_type(tokens, b.ln2_scale, b.ln2_shift, b.mlp_w1)
-    out_type = np.result_type(hidden_type, b.mlp_b1, b.mlp_w2)  # gelu keeps a float64+ dtype
+    out_type = np.result_type(tokens, b.ln2_scale, b.ln2_shift, b.mlp_w1, b.mlp_b1, b.mlp_w2)
     result_type = np.result_type(out_type, b.mlp_b2)
     result = tokens if result_type == tokens.dtype else np.empty(tokens.shape, result_type)
     bounds = [*starts, stop]
+    params = (b.ln2_scale, b.ln2_shift, b.mlp_b1, b.mlp_b2)
+    scale_shape, shift_shape, b1_shape, b2_shape = shapes = [np.shape(p) for p in params]
+    per_token = [shape[:-1] == (n,) for shape in shapes]
+    ln_rows = ((width,), (n, width))
+    affine_fits = hidden_type == tokens.dtype and scale_shape in ln_rows and shift_shape in ln_rows
+    b1_fits = out_type == hidden_type and b1_shape in ((n_hidden,), (n, n_hidden))
+    b2_fits = result_type == out_type and b2_shape in ((n_out,), (n, n_out))
 
     def run_tiles(first: int, last: int) -> None:
         # one tile each, with room for a last tile that absorbs a one-row remainder
         ln_buf, hidden_buf, out_buf = (
             np.empty((min(stop, tile + 1), cols), dtype) for cols, dtype in (
-                (width, tokens.dtype), (b.mlp_w1.shape[1], hidden_type),
-                (b.mlp_w2.shape[1], out_type)))
+                (width, tokens.dtype), (n_hidden, hidden_type), (n_out, out_type)))
         for start, end in zip(bounds[first:last], bounds[first + 1:last + 1]):
             x, rows = tokens[start:end], end - start
-            # a parameter with a row per token is broadcast tile by tile, as the whole array was
-            scale, shift, b1, b2 = (p[start:end] if np.ndim(p) == 2 and len(p) == n else p
-                                    for p in (b.ln2_scale, b.ln2_shift, b.mlp_b1, b.mlp_b2))
+            scale, shift, b1, b2 = (p[start:end] if cut else p for p, cut in zip(params, per_token))
             np.add(x, mixed[start:end], out=x)
-            normed = _layer_norm(x, scale, shift, ln_buf[:rows])
-            hidden = _into(np.add, np.matmul(normed, b.mlp_w1, out=hidden_buf[:rows]), b1)
+            normed = _standardize(x, ln_buf[:rows])
+            normed = np.multiply(normed, scale, out=normed if affine_fits else None)
+            normed = np.add(normed, shift, out=normed if affine_fits else None)
+            hidden = np.matmul(normed, b.mlp_w1, out=hidden_buf[:rows])
+            hidden = np.add(hidden, b1, out=hidden if b1_fits else None)
             _gelu_into(hidden, hidden)
-            out = _into(np.add, np.matmul(hidden, b.mlp_w2, out=out_buf[:rows]), b2)
+            out = np.matmul(hidden, b.mlp_w2, out=out_buf[:rows])
+            out = np.add(out, b2, out=out if b2_fits else None)
             np.add(x, out, out=result[start:end])
 
     _run_chunks(run_tiles, len(starts))

@@ -129,15 +129,20 @@ def _tiles_round_like_whole(x, w, hidden, stop):
     return all(np.array_equal(x[a:b] @ w, whole[a:b]) for a, b in zip(bounds, bounds[1:]))
 
 
-def assert_matches_reference(got, expected, gemms):
-    """Equal bytes where BLAS rounds the row tiles of each recorded MLP product like the
-    whole product (OpenBLAS does at most shapes here), else agreement to rounding.
+def _every_tile_rounds_like_whole(gemms):
+    """``_tiles_round_like_whole`` for every MLP product ``reference_forward`` recorded.
 
     The last block's two products run on their two-row head only, so only those rows
     are probed there.
     """
     stops = [len(x) for x, *_ in gemms[:-2]] + [min(len(x), 2) for x, *_ in gemms[-2:]]
-    if all(_tiles_round_like_whole(*gemm, stop) for gemm, stop in zip(gemms, stops)):
+    return all(_tiles_round_like_whole(*gemm, stop) for gemm, stop in zip(gemms, stops))
+
+
+def assert_matches_reference(got, expected, gemms):
+    """Equal bytes where BLAS rounds the row tiles of each recorded MLP product like the
+    whole product (OpenBLAS does at most shapes here), else agreement to rounding."""
+    if _every_tile_rounds_like_whole(gemms):
         assert_same_bytes(got, expected)
     else:
         assert type(got) is type(expected) and got.dtype == expected.dtype
@@ -300,10 +305,43 @@ class TestForward:
 
     @pytest.mark.parametrize("workload", ["encoder_short", "encoder_long"])
     def test_bytes_match_the_reference_at_the_benchmark_shapes(self, monkeypatch, workload):
+        """Byte for byte, with no rounding allowance: OpenBLAS rounds every row tile of these
+        shapes' MLP products as it rounds the whole product."""
         for params, patches in benchmark_cells(monkeypatch, workload):
             gemms = []
             expected = reference_forward(params, patches, gemms)
-            assert_matches_reference(vit_forward(params, patches), expected, gemms)
+            assert _every_tile_rounds_like_whole(gemms)
+            assert_same_bytes(vit_forward(params, patches), expected)
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("workload", ["encoder_short", "encoder_long"])
+    def test_bytes_do_not_depend_on_the_tile_size_at_the_benchmark_shapes(self, monkeypatch,
+                                                                          workload, seed):
+        """The tiles of 65536 hidden activations give the bytes of the 16384 ones before them."""
+        cells = benchmark_cells(monkeypatch, workload, seed)
+        sums = [array_checksum(vit_forward(params, patches)) for params, patches in cells]
+        monkeypatch.setattr(vit_module, "_TILE_ELEMENTS", 16384)
+        assert [array_checksum(vit_forward(params, patches)) for params, patches in cells] == sums
+
+    @pytest.mark.parametrize("shapes", [
+        {"ln2_scale": (1, 8), "ln2_shift": (), "mlp_b1": (1,), "mlp_b2": (1, 1)},
+        {"ln2_scale": (8,), "ln2_shift": ("tokens", 1), "mlp_b1": ("tokens", 1), "mlp_b2": (8,)},
+        {"ln2_scale": (1,), "ln2_shift": (8,), "mlp_b1": (1, HIDDEN), "mlp_b2": ("tokens", 8)},
+    ], ids=["broadcast rows", "a column per token", "mixed"])
+    def test_parameter_shapes_that_broadcast_keep_the_reference_bytes(self, shapes):
+        """Parameters of any shape that broadcasts into the tokens give the formula's bytes,
+        whether their step runs in place or allocates."""
+        tokens = 2 * TILE + 1
+        params = vit_init(6, 8, HIDDEN, tokens - 1, 2, seed=25, mechanism="tensor_linear")
+        rng = np.random.default_rng(25)
+        blocks = tuple(dataclasses.replace(b, **{
+            name: rng.uniform(0.5, 1.5, tuple(tokens if d == "tokens" else d for d in shape))
+            for name, shape in shapes.items()}) for b in params.blocks)
+        params = dataclasses.replace(params, blocks=blocks)
+        patches = random_matrix(tokens - 1, 6, seed=25)
+        gemms = []
+        expected = reference_forward(params, patches, gemms)
+        assert_matches_reference(vit_forward(params, patches), expected, gemms)
 
     def test_tiles_stay_within_rounding_where_the_blas_splits_differently(self):
         """At some shapes a row tile's GEMM rounds unlike the whole product; bound the drift.
@@ -717,9 +755,12 @@ class TestLayerNorm:
         scale, shift = rng.standard_normal(width), rng.standard_normal(width)
         expected = reference_layer_norm(x, scale, shift)
         assert_same_bytes(layer_norm(x, scale, shift), expected)
-        # the buffer path of the MLP half: the centered rows go into a buffer of x's type
+        # the buffer path of the MLP half: the rows are standardized into a buffer of x's
+        # type, then scaled and shifted in it where that keeps its dtype
         buf = np.empty(x.shape, np.result_type(x, 1.0))
-        assert_same_bytes(vit_module._layer_norm(x, scale, shift, buf), expected)
+        assert vit_module._standardize(x, buf) is buf
+        into = vit_module._into
+        assert_same_bytes(into(np.add, into(np.multiply, buf, scale), shift), expected)
 
     @pytest.mark.parametrize("kind", ["float64", "float32", "complex128"])
     def test_overflowed_variance_gives_the_scaled_answer(self, kind):
