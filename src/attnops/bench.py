@@ -18,6 +18,7 @@ import hashlib
 import json
 import operator
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, fields
 from statistics import median
 
@@ -73,6 +74,10 @@ class BenchConfig:
     output_path: str | None = None
 
     def __post_init__(self):
+        for name in ("variants", "n_values", "seeds"):
+            value = getattr(self, name)
+            if isinstance(value, (str, bytes)) or not isinstance(value, Iterable):
+                raise ValueError(f"{name}: expected a sequence, got {value!r}")
         object.__setattr__(self, "variants", tuple(self.variants))
         for name in ("n_values", "seeds"):
             object.__setattr__(self, name, tuple(_integer(name, x) for x in getattr(self, name)))

@@ -4,8 +4,8 @@ Both methods share one scaling-and-squaring wrapper: when the 1-norm of the
 argument exceeds ``scaling_threshold`` the matrix is divided by a power of
 two, the series / rational approximant is evaluated there, and the result is
 squared back up.  Pass ``scaling_threshold=math.inf`` to evaluate the raw
-approximant.  The Pade step checks the 1-norm condition of Q(A), which inverts
-it, then solves Q(A) X = P(A) with partial-pivot LU.  The empty matrix is its
+approximant.  The Pade step inverts Q(A) once: the inverse gives the 1-norm
+condition it checks and the solution X = Q(A)^-1 P(A).  The empty matrix is its
 own exponential; a 1-norm too large to scale and an overflowed result raise
 ``NonFiniteInput``.
 
@@ -111,22 +111,25 @@ def expm_pade(
     n: int = 6,
     scaling_threshold: float = DEFAULT_SCALING_THRESHOLD,
 ) -> np.ndarray:
-    """Solve Q(A) X = P(A) for the degree-(m, n) approximant, with scaling-and-squaring."""
+    """X = Q(A)^-1 P(A) for the degree-(m, n) approximant, with scaling-and-squaring."""
     a = as_square(a, "a")
     p_coeffs, q_coeffs = pade_coefficients(m, n)
 
     def rational(x):
         p_mat = _polyval_matrix(p_coeffs, x)
         q_mat = _polyval_matrix(q_coeffs, x)
-        try:
-            condition = np.linalg.cond(q_mat, 1)
+        try:  # one inverse gives both the 1-norm condition, as np.linalg.cond computes it, and X
+            inverse = np.linalg.inv(q_mat)
+            condition = _one_norm(q_mat) * _one_norm(inverse)
         except np.linalg.LinAlgError:
             condition = math.inf
-        if not np.isfinite(condition) or condition > _CONDITION_LIMIT:
+        if not condition <= _CONDITION_LIMIT:
+            if math.isnan(condition) and not np.isnan(q_mat).any():  # as np.linalg.cond reports it
+                condition = math.inf
             raise SingularDenominator(
                 f"denominator condition estimate {condition:.3e} exceeds {_CONDITION_LIMIT:.0e}",
-                condition=float(condition), limit=_CONDITION_LIMIT,
+                condition=condition, limit=_CONDITION_LIMIT,
             )
-        return np.linalg.solve(q_mat, p_mat)
+        return inverse @ p_mat
 
     return _scaled_and_squared(a, scaling_threshold, rational)

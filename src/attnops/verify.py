@@ -5,16 +5,28 @@ worst deviation it observed against an explicit tolerance, and never asserts:
 the caller decides what to do with failures.  With ``negative_control=True`` a
 deliberately wrong vectorization convention is planted so the harness can
 prove it detects broken identities.
+
+Two table-driven loops hold the operator and mechanism checks.  ``_IDENTITIES``
+runs each token-operator identity over side x flavor x real/complex where it
+holds.  ``_ORACLES`` is the domain table: it names each registry id's loop
+oracle in ``oracles.py``, the oracle's fixed options and the id's domain, and
+each id runs through ``registry.forward`` on every side, flavor and scalar
+kind, at n > d and at n < d (a singular Gram), with d_v != d where it allows.
+Inside its domain an id must match its oracle to 1e-12 of the largest entry;
+outside it must raise.  One check per identity and one per id.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .attention import AttnInputs, linear_kernel_attention, softmax_attention
 from .dense import gemm, kron, partial_trace, trace
+from .errors import ComplexNotSupported
 from .expm import expm_pade, expm_taylor
 from .oracles import (
     fd_probe,
@@ -24,6 +36,7 @@ from .oracles import (
     naive_reference,
     trace_identity_report,
 )
+from .registry import forward, variant_ids
 from .synth import random_inputs, random_matrix
 from .tensor_attention import (
     TensorOpConfig,
@@ -33,16 +46,55 @@ from .tensor_attention import (
     normalized_tensor_operator,
     operator_trace,
     score_matrix,
-    tensor_attention_elem_exp,
     tensor_attention_expm,
-    tensor_attention_linear,
     tensor_attention_masked,
-    tensor_attention_naive,
-    tensor_attention_relu,
-    tensor_attention_residual,
 )
-from .tensor_interaction import build_interaction_operator, interaction_trace, tensor_interaction
+from .tensor_interaction import build_interaction_operator, interaction_trace
 from .vit import LAYER_NORM_EPS, _tile_starts, gelu, layer_norm, vit_forward, vit_init
+
+# Token-operator identities: (name, tolerance, product flavors only, real inputs only,
+# deviation of (q, k, side, t, rng)), where t is the materialized operator.
+_IDENTITIES = (
+    ("operator is Hermitian with a real diagonal", 1e-12, False, False,
+     lambda q, k, side, t, rng: np.max(np.abs(t - t.conj().T))),
+    ("operator diagonal is non-negative", 1e-300, False, False,
+     lambda q, k, side, t, rng: -np.min(np.diag(t).real)),
+    ("clamping negatives preserves the trace exactly", 1e-300, False, True,
+     lambda q, k, side, t, rng: abs(np.trace(np.maximum(t, 0.0)) - np.trace(t))),
+    ("operator passes PSD probes", 1e-12, True, False,
+     lambda q, k, side, t, rng: _quadratic_form_floor(t, rng) - 1e-10),
+    ("operator trace equals squared Frobenius norm of the scores", 1e-10, True, False,
+     lambda q, k, side, t, rng: _rel(np.trace(t).real, np.sum(np.abs(score_matrix(q, k)) ** 2))),
+    ("operator trace: both sides equal the Gram Hadamard sum", 1e-10, True, False,
+     lambda q, k, side, t, rng: _rel(np.trace(t).real, operator_trace(q, k))),
+    ("fast diagonal equals materialized diagonal", 1e-10, True, False,
+     lambda q, k, side, t, rng: np.max(np.abs(diag_fast(q, k, side) - np.diag(t)))),
+)
+
+# Each registry id: (loop oracle, its fixed options, domain flags).  Outside the domain
+# the id must raise:
+#   plain    takes no side or flavor option (the baselines)
+#   real     complex inputs raise ComplexNotSupported
+#   product  the elementwise flavor raises ValueError (no rank-d form)
+#   nonneg   Q and K entrywise non-negative, so real; complex raises ComplexNotSupported
+#   square   d_v = d
+_ORACLES = {
+    "softmax": ("softmax", {}, {"plain", "real"}),
+    "kernel": ("kernel", {}, {"plain", "real"}),
+    "tensor_naive": ("tensor", {}, set()),
+    "tensor_diag": ("tensor", {"normalization": "diag"}, set()),
+    "tensor_row": ("tensor", {"normalization": "row"}, {"nonneg"}),
+    "tensor_linear": ("tensor", {}, {"product"}),
+    "tensor_relu": ("tensor_relu", {}, {"real"}),
+    "tensor_elem_exp": ("tensor_elem_exp", {}, {"real"}),
+    "tensor_expm": ("tensor_expm", {}, set()),
+    "tensor_masked": ("tensor_masked", {}, set()),
+    "tensor_residual": ("tensor_residual", {"lam": 0.5}, {"product"}),
+    "interaction": ("interaction", {}, {"square"}),
+}
+# (n, d, d_v): n > d, and n < d, where the d-by-d Gram is singular
+_ORACLE_SHAPES = ((4, 3, 2), (2, 5, 4))
+_ORACLE_TOL = 1e-12  # relative to the oracle's largest entry
 
 
 @dataclass(frozen=True)
@@ -109,6 +161,56 @@ def _score_built_operator(inputs, side: str) -> np.ndarray:
     """T / tr(T) for the product flavor, built from the n-by-n score matrix, not the factors."""
     t = flavored_product(score_matrix(inputs.q, inputs.k), side, False)
     return t / np.trace(t).real
+
+
+def _identity_checks(rng) -> list[CheckResult]:
+    """One check per ``_IDENTITIES`` row, over side x flavor x real/complex where it holds."""
+    worst = [0.0] * len(_IDENTITIES)
+    for side, hadamard, complex_ in itertools.product("qk", (False, True), (False, True)):
+        for n, d in ((8, 3), (3, 5)) * 5:
+            q, k = rng.standard_normal((2, n, d))
+            if complex_:
+                q, k = q + 1j * rng.standard_normal((n, d)), k + 1j * rng.standard_normal((n, d))
+            t = build_tensor_operator(q, k, TensorOpConfig(side=side, hadamard=hadamard))
+            for i, (_, _, product, real, deviation) in enumerate(_IDENTITIES):
+                if not (product and hadamard or real and complex_):
+                    worst[i] = max(worst[i], float(deviation(q, k, side, t, rng)))
+    return [_result(name, dev, tol, f"{'product' if product else 'both'} flavors, "
+                                    f"{'real' if real else 'real and complex'}")
+            for (name, tol, product, real, _), dev in zip(_IDENTITIES, worst)]
+
+
+def _oracle_check(variant: str, seed: int) -> CheckResult:
+    """``variant`` through ``registry.forward`` on every case, against its ``_ORACLES`` row."""
+    reference, fixed, domain = _ORACLES[variant]
+    configs = [{}] if "plain" in domain else [
+        {"side": side, "hadamard": hadamard} for hadamard in (False, True) for side in "qk"]
+    dev, faults = 0.0, []
+    for case, ((n, d, d_v), complex_) in enumerate(itertools.product(_ORACLE_SHAPES, (False, True))):
+        x = random_inputs(n, d, d if "square" in domain else d_v, seed=seed + 300 + case,
+                          complex_=complex_)
+        if "nonneg" in domain and not complex_:
+            x = AttnInputs(np.abs(x.q), np.abs(x.k), x.v)
+        for cfg in configs:
+            outside = (ComplexNotSupported if complex_ and domain & {"real", "nonneg"}
+                       else ValueError if cfg.get("hadamard") and "product" in domain else None)
+            try:
+                fast = forward(variant, x, **cfg)
+            except Exception as exc:  # any raise is a verdict on the id, not a crash of verify
+                fast = exc
+            if outside is None and not isinstance(fast, Exception):
+                slow = naive_reference(x, reference, **fixed, **cfg)
+                dev = max(dev, np.max(np.abs(fast - slow)) / np.max(np.abs(slow))
+                          if fast.shape == slow.shape else math.inf)
+            elif not (outside and isinstance(fast, outside)):
+                want = outside.__name__ if outside else "an answer"
+                got = repr(fast) if isinstance(fast, Exception) else "an answer"
+                kind = "complex" if complex_ else "real"
+                faults.append(f"{kind} n={n} d={d} {cfg}: expected {want}, got {got}")
+    options = "".join(f" {key}={value}" for key, value in fixed.items())
+    return _result(f"{variant} equals its loop oracle on every case it accepts",
+                   math.inf if faults else dev, _ORACLE_TOL,
+                   "; ".join(faults) or f"oracle {reference}{options}; relative to the largest entry")
 
 
 def run_verify(seed: int = 2024, negative_control: bool = False) -> VerifyReport:
@@ -201,69 +303,7 @@ def run_verify(seed: int = 2024, negative_control: bool = False) -> VerifyReport
         dev = max(dev, abs(np.imag(value)))
     checks.append(_result("Frobenius: tr(A A^H) = sum |a_ij|^2, real non-negative", dev, 1e-12))
 
-    # operator trace identities
-    dev_frob = 0.0
-    dev_sides = 0.0
-    for _ in range(20):
-        q = rng.standard_normal((8, 3))
-        k = rng.standard_normal((8, 3))
-        scores = score_matrix(q, k)
-        t_q = build_tensor_operator(q, k, TensorOpConfig(side="q"))
-        t_k = build_tensor_operator(q, k, TensorOpConfig(side="k"))
-        frob = float(np.sum(scores**2))
-        dev_frob = max(dev_frob, _rel(trace(t_q), frob))
-        dev_sides = max(dev_sides, _rel(trace(t_q), trace(t_k)))
-        dev_sides = max(dev_sides, _rel(trace(t_q), operator_trace(q, k)))
-    checks.append(
-        _result("operator trace equals squared Frobenius norm of the scores", dev_frob, 1e-10)
-    )
-    checks.append(
-        _result("operator trace: both sides equal the Gram Hadamard sum", dev_sides, 1e-10)
-    )
-
-    # non-negative diagonals and PSD probes, both sides
-    dev_diag = 0.0
-    dev_psd = 0.0
-    for _ in range(10):
-        q = rng.standard_normal((7, 4))
-        k = rng.standard_normal((7, 4))
-        for side in ("q", "k"):
-            t = build_tensor_operator(q, k, TensorOpConfig(side=side))
-            dev_diag = max(dev_diag, -float(np.min(np.diag(t))))
-            dev_psd = max(dev_psd, _quadratic_form_floor(t, rng) - 1e-10)
-    checks.append(_result("operator diagonal is non-negative (both sides)", dev_diag, 1e-300,
-                          detail="deviation is the most negative diagonal entry"))
-    checks.append(_result("operator passes PSD probes (both sides)", dev_psd, 1e-12))
-
-    # factorized path equals materialized path
-    dev = 0.0
-    for trial in range(20):
-        inputs = random_inputs(16, 5, d_v=3, seed=seed + trial)
-        for side in ("q", "k"):
-            fast = tensor_attention_linear(inputs, TensorOpConfig(side=side))
-            slow = tensor_attention_naive(inputs, TensorOpConfig(side=side))
-            dev = max(dev, np.max(np.abs(fast - slow)))
-    checks.append(_result("factorized linear path equals materialized path", dev, 1e-10))
-
-    # fast diagonal equals materialized diagonal
-    dev = 0.0
-    for trial in range(10):
-        q = rng.standard_normal((12, 4))
-        k = rng.standard_normal((12, 4))
-        for side in ("q", "k"):
-            t = build_tensor_operator(q, k, TensorOpConfig(side=side))
-            dev = max(dev, np.max(np.abs(diag_fast(q, k, side) - np.diag(t))))
-    checks.append(_result("fast diagonal equals materialized diagonal", dev, 1e-10))
-
-    # clamping preserves the trace exactly
-    dev = 0.0
-    for trial in range(10):
-        q = rng.standard_normal((6, 2))
-        k = rng.standard_normal((6, 2))
-        t = build_tensor_operator(q, k)
-        dev = max(dev, abs(float(np.trace(np.maximum(t, 0.0))) - float(np.trace(t))))
-    checks.append(_result("clamping negatives preserves the trace exactly", dev, 1e-300,
-                          detail="tolerance 0: diagonal is untouched"))
+    checks += _identity_checks(rng)
 
     # row normalization sums to one on entrywise non-negative operators
     dev = 0.0
@@ -299,43 +339,7 @@ def run_verify(seed: int = 2024, negative_control: bool = False) -> VerifyReport
     checks.append(_result("expm commutes with transpose", dev_transpose, 1e-10))
     checks.append(_result("det(expm(A)) = exp(tr(A))", dev_det, 1e-8))
 
-    # softmax attention against the loop oracle, plus weight-row structure
-    dev = 0.0
-    for trial in range(10):
-        inputs = random_inputs(5, 3, d_v=2, seed=seed + 100 + trial)
-        dev = max(dev, np.max(np.abs(softmax_attention(inputs) - naive_reference(inputs, "softmax"))))
-    checks.append(_result("softmax attention equals the brute-force loop", dev, 1e-12))
-
-    # kernel attention: reordered linear form against the loop oracle
-    dev = 0.0
-    for trial in range(10):
-        inputs = random_inputs(6, 3, d_v=2, seed=seed + 200 + trial)
-        dev = max(
-            dev, np.max(np.abs(linear_kernel_attention(inputs) - naive_reference(inputs, "kernel")))
-        )
-    checks.append(_result("kernel attention reordered form equals the loop", dev, 1e-10))
-
-    # remaining variants against loop oracles
-    dev = 0.0
-    for trial in range(5):
-        inputs = random_inputs(5, 3, d_v=3, seed=seed + 300 + trial)
-        cfg = TensorOpConfig()
-        pairs = [
-            (tensor_attention_relu(inputs, cfg), naive_reference(inputs, "tensor_relu")),
-            (tensor_attention_elem_exp(inputs, cfg), naive_reference(inputs, "tensor_elem_exp")),
-            (tensor_attention_expm(inputs, cfg), naive_reference(inputs, "tensor_expm")),
-            (tensor_attention_masked(inputs, cfg), naive_reference(inputs, "tensor_masked")),
-            (
-                tensor_attention_residual(inputs, cfg, lam=0.7),
-                naive_reference(inputs, "tensor_residual", lam=0.7),
-            ),
-            (tensor_interaction(inputs), naive_reference(inputs, "interaction")),
-        ]
-        for fast, slow in pairs:
-            dev = max(dev, np.max(np.abs(fast - slow)))
-    checks.append(
-        _result("clamped/exp/expm/masked/residual/interaction match loop oracles", dev, 1e-10)
-    )
+    checks += [_oracle_check(variant, seed) for variant in variant_ids()]
 
     # factored masked scan and expm against the trace-normalized operator built from
     # the score matrix; the masked size spans several scan blocks, the expm size keeps
@@ -393,18 +397,6 @@ def run_verify(seed: int = 2024, negative_control: bool = False) -> VerifyReport
     grad_linear = fd_probe("tensor_linear", inputs, u, w)
     dev = float(np.max(np.abs(grad_naive - grad_linear)))
     checks.append(_result("finite-difference gradients: materialized vs factorized", dev, 1e-4))
-
-    # complex scalars: Hermitian operator, real non-negative diagonal, PSD probes
-    dev = 0.0
-    for trial in range(10):
-        q = random_matrix(6, 3, seed=seed + 500 + trial, complex_=True)
-        k = random_matrix(6, 3, seed=seed + 600 + trial, complex_=True)
-        t = build_tensor_operator(q, k)
-        dev = max(dev, float(np.max(np.abs(t - t.conj().T))))
-        dev = max(dev, float(np.max(np.abs(np.imag(np.diag(t))))))
-        dev = max(dev, -float(np.min(np.real(np.diag(t)))))
-        dev = max(dev, _quadratic_form_floor(t, rng) - 1e-10)
-    checks.append(_result("complex path: Hermitian operator with real non-negative diagonal", dev, 1e-12))
 
     # convex-combination bounds for normalized non-negative weights
     dev = 0.0

@@ -15,8 +15,12 @@ from attnops import (
     summarize,
     write_records,
 )
+from attnops import registry
 from attnops.bench import CSV_HEADER
 from attnops.cli import _build_parser, main
+from attnops.errors import ComplexNotSupported
+from attnops.registry import variant_ids
+from attnops.tensor_attention import tensor_attention_expm, tensor_attention_linear
 
 SMALL = BenchConfig(
     variants=("tensor_linear", "softmax"),
@@ -58,6 +62,12 @@ class TestBenchConfig:
                                               ("n_values", (8, 16.0)), ("seeds", (np.float64(0),))])
     def test_integer_fields_reject_other_types_naming_the_field(self, field, value):
         with pytest.raises(ValueError, match=f"^{field}: expected an integer"):
+            BenchConfig(**{"variants": ("softmax",), "n_values": (8,), field: value})
+
+    @pytest.mark.parametrize("field, value", [("variants", "softmax"), ("n_values", 8),
+                                              ("seeds", 0)])
+    def test_sequence_fields_reject_a_bare_string_or_scalar_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field}: expected a sequence"):
             BenchConfig(**{"variants": ("softmax",), "n_values": (8,), field: value})
 
     def test_diag_routes_are_benchable(self):
@@ -146,16 +156,39 @@ class TestRecordFiles:
         assert set(parsed) == {"variant", "n", "d", "seed", "rep", "wall_nanos", "checksum"}
 
 
-class TestVerify:
-    def test_pristine_build_passes(self):
-        report = run_verify(seed=7)
-        assert report.passed
-        assert all(c.passed for c in report.checks)
+@pytest.fixture(scope="class")
+def seed7_report():
+    return run_verify(seed=7)
 
-    def test_report_includes_frobenius_trace_line(self):
-        report = run_verify(seed=7)
-        lines = "\n".join(report.lines())
+
+class TestVerify:
+    def test_pristine_build_passes(self, seed7_report):
+        assert seed7_report.passed
+        assert all(c.passed for c in seed7_report.checks)
+
+    def test_report_includes_frobenius_trace_line(self, seed7_report):
+        lines = "\n".join(seed7_report.lines())
         assert "squared Frobenius norm" in lines
+
+    def test_one_oracle_check_per_registry_id(self, seed7_report):
+        for variant in variant_ids():
+            assert [c.name.startswith(f"{variant} ") for c in seed7_report.checks].count(True) == 1
+
+    def test_unmasked_registry_path_fails_only_the_masked_check(self, monkeypatch):
+        monkeypatch.setattr(registry, "tensor_attention_masked", tensor_attention_linear)
+        failures = [c.name for c in run_verify(seed=7).failures]
+        assert len(failures) == 1 and failures[0].startswith("tensor_masked ")
+
+    def test_expm_refusing_complex_inputs_fails_its_check(self, monkeypatch):
+        def real_only(inputs, cfg):
+            if inputs.is_complex:
+                raise ComplexNotSupported("planted: real inputs only")
+            return tensor_attention_expm(inputs, cfg)
+
+        monkeypatch.setattr(registry, "tensor_attention_expm", real_only)
+        failures = run_verify(seed=7).failures
+        assert [c.name.split()[0] for c in failures] == ["tensor_expm"]
+        assert "got ComplexNotSupported(" in failures[0].detail
 
     def test_negative_control_fails_and_names_the_plant(self):
         report = run_verify(seed=7, negative_control=True)
