@@ -68,11 +68,14 @@ def variant_ids() -> tuple[str, ...]:
     return tuple(sorted(VARIANTS))
 
 
-def forward(variant: str, inputs: AttnInputs, **options) -> np.ndarray:
+def lookup(variant: str):
     try:
-        fn = VARIANTS[variant]
+        return VARIANTS[variant]
     except KeyError:
         raise UnknownVariant(
             f"unknown variant {variant!r}; expected one of {variant_ids()}"
         ) from None
-    return fn(inputs, **options)
+
+
+def forward(variant: str, inputs: AttnInputs, **options) -> np.ndarray:
+    return lookup(variant)(inputs, **options)

@@ -8,7 +8,8 @@ patches, add positional embeddings, then run L rounds of
 
 and read out the layer-normalized class token.  The mixer is any registry
 variant id (or a callable), which makes the encoder the integration vehicle
-for comparing mechanisms end to end.
+for comparing mechanisms end to end.  An unknown id fails when the parameters
+are built; a callable's output goes through ``as_matrix``.
 
 Allocation discipline: the mixer gets a layer-normed copy of the tokens and
 its output is only read, since a callable mixer may keep either.  The rest of a
@@ -18,9 +19,12 @@ remainder, which numpy would send to gemv.  That rest is row-local and only the
 class token is read out, so the last block runs it on rows 0:2 alone (two rows,
 again for gemv) and skips 1/depth of the MLP work.  Gelu runs in place on each
 tile (``_gelu_into``: ``gelu``'s one-line formula, ufunc by ufunc, operands in
-its order).  The row-local steps keep their bytes, and the GEMMs keep them where
-BLAS rounds a row tile as it rounds the whole matrix (OpenBLAS does at the
-benchmark shapes, not at all shapes).
+its order).  A half runs in the one dtype of its tokens, mixer output and
+parameters, so every step writes in place.  The row-local steps keep the
+whole-array formula's bytes unless a parameter outranks the tokens (complex on
+real tokens moves the last bits), and the GEMMs keep them where BLAS rounds a
+row tile as it rounds the whole matrix (OpenBLAS does at the benchmark shapes,
+not at all shapes).
 
 The tiles of an MLP half run in contiguous chunks, one per CPU in the
 process's affinity (``os.sched_getaffinity``, else ``os.cpu_count``).  The
@@ -40,9 +44,7 @@ layer norms stay on it.
 The tile size serves two limits.  One tile's buffers and gelu's temporary, about
 1.3 MB of float64 at 256 rows, stay in a 2-MB per-core L2.  And each of a tile's
 24 numpy calls holds the GIL while Python dispatches it, so the chunks take
-turns on the GIL once per call: fewer, larger tiles mean fewer hand-offs.  The
-dtypes, in-place choices and row-per-token parameters are decided once per
-half, not per tile, for the same reason.
+turns on the GIL once per call: fewer, larger tiles mean fewer hand-offs.
 
 Layer norm forms one mean and reduces the variance from the centered rows as
 ``ndarray.var`` does, so its bytes are those of the two-call formula without
@@ -72,7 +74,7 @@ import numpy as np
 from .attention import AttnInputs
 from .dense import as_matrix
 from .errors import DimensionMismatch
-from .registry import forward as registry_forward
+from .registry import forward as registry_forward, lookup
 
 LAYER_NORM_EPS = 1e-5
 # Hidden activations per MLP row tile: its buffers stay in a 2-MB L2, and few tiles mean few
@@ -105,6 +107,10 @@ class ViTParams:
     head_shift: np.ndarray
     mechanism: str | Callable[[AttnInputs], np.ndarray] = "softmax"
     mechanism_options: Mapping = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if not callable(self.mechanism):
+            lookup(self.mechanism)  # an unknown id fails here, not at the first forward
 
     @property
     def patch_dim(self) -> int:
@@ -340,53 +346,40 @@ def _mlp_half(tokens: np.ndarray, mixed: np.ndarray, b: BlockParams, stop: int) 
     chunk of tiles per CPU (``_run_chunks``).
 
     The half is row-local, so the last block stops at the class token's two-row
-    head (one row would go to gemv).  Buffers get each step's dtype.
+    head (one row would go to gemv).  The token rows are promoted once to the dtype of
+    every operand, so each step writes in place, into a tile buffer or the token rows.
     """
     n, width = tokens.shape  # a parameter with a row per token still has n rows
-    # the forward's own array: a view of it is written in place
-    tokens = tokens[:stop].astype(np.result_type(mixed, tokens), copy=False)
-    n_hidden, n_out = b.mlp_w1.shape[1], b.mlp_w2.shape[1]
-    starts = _tile_starts(stop, n_hidden)
-    tile = starts.step
-    # Once per half, not per tile: each step's dtype; which parameters have a row per token,
-    # to broadcast tile by tile as the whole array was; and whether the affine and bias steps
-    # run in place: when their dtype holds through the next GEMM (``_into``'s test, or
-    # stricter) and their parameters are a row of the step's width or one per token (other
-    # shapes allocate, as the formula does).
-    hidden_type = np.result_type(tokens, b.ln2_scale, b.ln2_shift, b.mlp_w1)
-    out_type = np.result_type(tokens, b.ln2_scale, b.ln2_shift, b.mlp_w1, b.mlp_b1, b.mlp_w2)
-    result_type = np.result_type(out_type, b.mlp_b2)
-    result = tokens if result_type == tokens.dtype else np.empty(tokens.shape, result_type)
-    bounds = [*starts, stop]
     params = (b.ln2_scale, b.ln2_shift, b.mlp_b1, b.mlp_b2)
-    scale_shape, shift_shape, b1_shape, b2_shape = shapes = [np.shape(p) for p in params]
-    per_token = [shape[:-1] == (n,) for shape in shapes]
-    ln_rows = ((width,), (n, width))
-    affine_fits = hidden_type == tokens.dtype and scale_shape in ln_rows and shift_shape in ln_rows
-    b1_fits = out_type == hidden_type and b1_shape in ((n_hidden,), (n, n_hidden))
-    b2_fits = result_type == out_type and b2_shape in ((n_out,), (n, n_out))
+    dtype = np.result_type(tokens, mixed, *params, b.mlp_w1, b.mlp_w2)
+    # the forward's own array: a view of it is written in place
+    tokens = tokens[:stop].astype(dtype, copy=False)
+    n_hidden, n_out = b.mlp_w2.shape  # a malformed mlp_w1 fails in its matmul
+    starts = _tile_starts(stop, n_hidden)
+    bounds = [*starts, stop]
+    # parameters with a row per token are sliced tile by tile, to broadcast as over the whole
+    per_token = [np.shape(p)[:-1] == (n,) for p in params]
 
     def run_tiles(first: int, last: int) -> None:
         # one tile each, with room for a last tile that absorbs a one-row remainder
-        ln_buf, hidden_buf, out_buf = (
-            np.empty((min(stop, tile + 1), cols), dtype) for cols, dtype in (
-                (width, tokens.dtype), (n_hidden, hidden_type), (n_out, out_type)))
+        ln_buf, hidden_buf, out_buf = (np.empty((min(stop, starts.step + 1), cols), dtype)
+                                       for cols in (width, n_hidden, n_out))
         for start, end in zip(bounds[first:last], bounds[first + 1:last + 1]):
             x, rows = tokens[start:end], end - start
             scale, shift, b1, b2 = (p[start:end] if cut else p for p, cut in zip(params, per_token))
             np.add(x, mixed[start:end], out=x)
             normed = _standardize(x, ln_buf[:rows])
-            normed = np.multiply(normed, scale, out=normed if affine_fits else None)
-            normed = np.add(normed, shift, out=normed if affine_fits else None)
+            np.multiply(normed, scale, out=normed)
+            np.add(normed, shift, out=normed)
             hidden = np.matmul(normed, b.mlp_w1, out=hidden_buf[:rows])
-            hidden = np.add(hidden, b1, out=hidden if b1_fits else None)
+            np.add(hidden, b1, out=hidden)
             _gelu_into(hidden, hidden)
             out = np.matmul(hidden, b.mlp_w2, out=out_buf[:rows])
-            out = np.add(out, b2, out=out if b2_fits else None)
-            np.add(x, out, out=result[start:end])
+            np.add(out, b2, out=out)
+            np.add(x, out, out=x)
 
     _run_chunks(run_tiles, len(starts))
-    return result
+    return tokens
 
 
 def vit_forward(params: ViTParams, patches) -> np.ndarray:
@@ -396,14 +389,17 @@ def vit_forward(params: ViTParams, patches) -> np.ndarray:
         raise DimensionMismatch(
             f"patches shape {patches.shape} != ({params.n_patches}, {params.patch_dim})"
         )
-    if callable(params.mechanism):
-        mix = params.mechanism
+    if callable(params.mechanism):  # a registry mixer guards its own output (finite_result)
+        def mix(attn: AttnInputs) -> np.ndarray:
+            return as_matrix(params.mechanism(attn), "mixer output")
     else:
         def mix(attn: AttnInputs) -> np.ndarray:
             return registry_forward(params.mechanism, attn, **params.mechanism_options)
 
-    tokens = np.vstack([params.class_token, patches @ params.patch_embed])
-    tokens = _into(np.add, tokens, params.pos_embed)
+    embedded = patches @ params.patch_embed
+    tokens = np.vstack([params.class_token, embedded],
+                       dtype=np.result_type(params.class_token, embedded, params.pos_embed))
+    np.add(tokens, params.pos_embed, out=tokens)
     n = len(tokens)
     for i, block in enumerate(params.blocks, 1):
         normed = layer_norm(tokens, block.ln1_scale, block.ln1_shift)

@@ -21,6 +21,8 @@ from attnops import (
     AttnOpsError,
     DegenerateNormalizer,
     DimensionMismatch,
+    NonFiniteInput,
+    UnknownVariant,
     array_checksum,
     forward,
     gelu,
@@ -31,6 +33,7 @@ from attnops import (
     vit_init,
 )
 from attnops import vit as vit_module
+from attnops.dense import as_matrix
 from attnops.vit import LAYER_NORM_EPS
 
 
@@ -45,8 +48,12 @@ def reference_layer_norm(x, scale, shift):
     return (x - mean) / np.sqrt(var + LAYER_NORM_EPS) * scale + shift
 
 
-def reference_forward(params, patches, gemms=None):
-    """The whole-array encoder; each MLP product's operands go into ``gemms`` if given."""
+def reference_forward(params, patches, gemms=None, step_by_step=False):
+    """The whole-array encoder; each MLP product's operands go into ``gemms`` if given.
+
+    Each MLP half runs in the dtype of its tokens and parameters, as the encoder runs it;
+    with ``step_by_step`` it promotes at the first step that meets a higher dtype instead.
+    """
     if callable(params.mechanism):
         mix = params.mechanism
     else:
@@ -57,6 +64,10 @@ def reference_forward(params, patches, gemms=None):
     for block in params.blocks:
         normed = reference_layer_norm(tokens, block.ln1_scale, block.ln1_shift)
         tokens = mix(AttnInputs(normed, normed, normed)) + tokens
+        if not step_by_step:
+            tokens = tokens.astype(np.result_type(tokens, block.ln2_scale, block.ln2_shift,
+                                                  block.mlp_w1, block.mlp_b1, block.mlp_w2,
+                                                  block.mlp_b2))
         normed = reference_layer_norm(tokens, block.ln2_scale, block.ln2_shift)
         hidden = reference_gelu(normed @ block.mlp_w1 + block.mlp_b1)
         tokens = (hidden @ block.mlp_w2 + block.mlp_b2) + tokens
@@ -98,7 +109,8 @@ def _to_complex(a):
     return a * (1.0 - 0.5j)
 
 
-# Parameter changes that promote the dtype of the forward pass at different steps.
+# Parameter changes that promote the dtype of the forward pass at different steps.  The last
+# three outrank the real tokens of an MLP half, which then runs in complex from its LN2 on.
 PROMOTIONS = {
     "float32 mlp": lambda p: _recast_blocks(
         p, lambda a: a.astype(np.float32), "mlp_w1", "mlp_b1", "mlp_w2", "mlp_b2"),
@@ -181,6 +193,13 @@ class TestInit:
             vit_init(0, 8, 32, 4, 2)
         with pytest.raises(ValueError):
             vit_init(6, 8, 32, 4, -1)
+
+    def test_an_unknown_mechanism_id_fails_at_build_time(self):
+        with pytest.raises(UnknownVariant, match="'nope'"):
+            vit_init(6, 8, 32, 4, 1, mechanism="nope")
+        params = vit_init(6, 8, 32, 4, 1, mechanism="tensor_linear")
+        with pytest.raises(UnknownVariant, match="'nope'"):
+            dataclasses.replace(params, mechanism="nope")
 
 
 class TestForward:
@@ -268,9 +287,46 @@ class TestForward:
         np.testing.assert_array_equal(held, kept)
         assert_same_bytes(out, reference_forward(params, patches))
 
+    @pytest.mark.parametrize("depth", [1, 2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_callable_mixer_returning_nan_or_inf_is_named(self, bad, depth):
+        def mixer(attn):
+            out = np.zeros((attn.n, attn.d))
+            out[1, 2] = bad
+            return out
+
+        params = vit_init(6, 8, 32, 4, depth, seed=9, mechanism=mixer)
+        with pytest.raises(NonFiniteInput, match="mixer output"):
+            vit_forward(params, random_matrix(4, 6, seed=9))
+
+    def test_a_callable_mixer_may_return_a_list(self):
+        held = random_matrix(5, 8, seed=9)
+        as_list = vit_init(6, 8, 32, 4, 2, seed=9, mechanism=lambda attn: held.tolist())
+        as_array = dataclasses.replace(as_list, mechanism=lambda attn: held)
+        patches = random_matrix(4, 6, seed=9)
+        assert_same_bytes(vit_forward(as_list, patches), vit_forward(as_array, patches))
+
+    def test_only_a_callable_mixers_output_is_checked_again(self, monkeypatch):
+        """Registry mixers guard their own output, so the encoder scans it no second time."""
+        names = []
+
+        def recording(a, name):
+            names.append(name)
+            return as_matrix(a, name)
+
+        monkeypatch.setattr(vit_module, "as_matrix", recording)
+        params = vit_init(6, 8, 32, 4, 2, seed=9, mechanism="tensor_linear")
+        patches = random_matrix(4, 6, seed=9)
+        expected = vit_forward(params, patches)
+        assert names == ["patches"]
+        names.clear()
+        params = dataclasses.replace(params, mechanism=lambda attn: forward("tensor_linear", attn))
+        assert_same_bytes(vit_forward(params, patches), expected)
+        assert names == ["patches", "mixer output", "mixer output"]
+
     @pytest.mark.parametrize("promotion", list(PROMOTIONS))
     def test_promoting_parameters_keep_the_reference_bytes(self, promotion):
-        """Each promotion the whole-array expressions make happens at the same step."""
+        """Each promotion happens where the reference makes it: an MLP half is promoted once."""
         tokens = 2 * TILE + 1
         params = vit_init(6, 8, HIDDEN, tokens - 1, 2, seed=15, mechanism="tensor_linear")
         params = PROMOTIONS[promotion](params)
@@ -279,6 +335,21 @@ class TestForward:
         expected = reference_forward(params, patches, gemms)
         assert expected.dtype == (np.float64 if promotion == "float32 mlp" else np.complex128)
         assert_matches_reference(vit_forward(params, patches), expected, gemms)
+
+    @pytest.mark.parametrize("tokens", TOKEN_COUNTS)
+    @pytest.mark.parametrize("promotion", ["complex ln2_scale", "complex mlp_b1", "complex mlp_w2"])
+    def test_complex_parameters_stay_within_rounding_of_the_step_by_step_promotion(
+            self, promotion, tokens):
+        """A half whose complex parameters outrank its real tokens runs in complex from LN2 on;
+        the formula that promotes step by step rounds a few steps unlike it (a complex
+        division, scipy's complex ``erf``), within the tiles' rounding allowance."""
+        params = vit_init(6, 8, HIDDEN, tokens - 1, 2, seed=15, mechanism="tensor_linear")
+        params = PROMOTIONS[promotion](params)
+        patches = random_matrix(tokens - 1, 6, seed=15)
+        expected = reference_forward(params, patches, step_by_step=True)
+        got = vit_forward(params, patches)
+        assert got.dtype == expected.dtype == np.complex128
+        assert np.max(np.abs(got - expected)) <= 64 * np.finfo(float).eps * np.max(np.abs(expected))
 
     def test_per_token_block_parameters_broadcast_over_every_tile(self):
         """LN2 and MLP-bias parameters with a row per token apply to their own rows."""
@@ -329,8 +400,8 @@ class TestForward:
         {"ln2_scale": (1,), "ln2_shift": (8,), "mlp_b1": (1, HIDDEN), "mlp_b2": ("tokens", 8)},
     ], ids=["broadcast rows", "a column per token", "mixed"])
     def test_parameter_shapes_that_broadcast_keep_the_reference_bytes(self, shapes):
-        """Parameters of any shape that broadcasts into the tokens give the formula's bytes,
-        whether their step runs in place or allocates."""
+        """Parameters of any shape that broadcasts into their step's tile give the formula's
+        bytes."""
         tokens = 2 * TILE + 1
         params = vit_init(6, 8, HIDDEN, tokens - 1, 2, seed=25, mechanism="tensor_linear")
         rng = np.random.default_rng(25)
