@@ -38,10 +38,12 @@ from .errors import (
     ComplexNotSupported,
     DegenerateNormalizer,
     DimensionMismatch,
+    InvalidOption,
     NonFiniteInput,
     NotSquare,
     ShapeTooLarge,
     SingularDenominator,
+    UnknownOption,
     UnknownVariant,
 )
 from .expm import (

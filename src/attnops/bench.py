@@ -26,7 +26,7 @@ import numpy as np
 
 from .attention import AttnInputs
 from .errors import UnknownVariant
-from .registry import VARIANTS
+from .registry import MECHANISMS
 from .synth import random_inputs
 from .tensor_attention import diag_fast, score_matrix
 
@@ -48,7 +48,7 @@ def _diag_fast(inputs: AttnInputs) -> np.ndarray:
 
 def bench_targets() -> dict:
     """The registry's variants plus the two diagonal routes, by id."""
-    return dict(VARIANTS, diag_fast=_diag_fast, diag_naive=_diag_naive)
+    return dict(MECHANISMS, diag_fast=_diag_fast, diag_naive=_diag_naive)
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,8 @@ class BenchConfig:
         known = bench_targets()
         for v in self.variants:
             if v not in known:
-                raise UnknownVariant(f"variants: unknown id {v!r}; known: {sorted(known)}")
+                raise UnknownVariant(f"variants: unknown id {v!r}; known: {sorted(known)}",
+                                     variant=v, known=sorted(known))
         if not self.variants:
             raise ValueError("variants: need at least one id")
         if not self.n_values:

@@ -54,7 +54,26 @@ class SingularDenominator(AttnOpsError, ArithmeticError):
 
 
 class UnknownVariant(AttnOpsError, KeyError):
-    """Variant id is not registered."""
+    """Variant id is not registered: ``variant`` is the id asked for, ``known`` the ids there."""
+
+    def __init__(self, message, *, variant, known):
+        super().__init__(message)
+        self.variant, self.known = str(variant), tuple(known)
+
+
+class InvalidOption(AttnOpsError, ValueError):
+    """A registry id does not take this option value: a bad ``side``, or ``hadamard`` on an
+    id with no elementwise flavor.  ``mechanism`` names the id and ``option`` the option;
+    ``accepted`` holds the values it takes, or for ``UnknownOption`` the names the id takes.
+    """
+
+    def __init__(self, message, *, mechanism, option, accepted):
+        super().__init__(message)
+        self.mechanism, self.option, self.accepted = mechanism, option, accepted
+
+
+class UnknownOption(InvalidOption, TypeError):
+    """A registry id takes no option of this name; a TypeError, as for a bad keyword."""
 
 
 class ShapeTooLarge(AttnOpsError, ValueError):

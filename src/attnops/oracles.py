@@ -91,13 +91,18 @@ def _loop_trace(t: np.ndarray) -> float:
     return acc
 
 
+def _positive_trace(t: np.ndarray) -> float:
+    total = _loop_trace(t)
+    if total <= 0:
+        raise DegenerateNormalizer(f"oracle operator trace {total:.3e} is not positive")
+    return total
+
+
 def _normalize_operator(t: np.ndarray, normalization: str) -> np.ndarray:
     n = t.shape[0]
     out = t.astype(t.dtype, copy=True)
     if normalization == "trace":
-        total = _loop_trace(t)
-        if total <= 0:
-            raise DegenerateNormalizer(f"oracle operator trace {total:.3e} is not positive")
+        total = _positive_trace(t)
         for i in range(n):
             for j in range(n):
                 out[i, j] = t[i, j] / total
@@ -341,21 +346,15 @@ def _naive_kernel(inputs: AttnInputs) -> np.ndarray:
     return out
 
 
-def _naive_tensor(
-    inputs: AttnInputs,
-    side: str = "q",
-    normalization: str = "trace",
-    hadamard: bool = False,
-) -> np.ndarray:
+def _naive_tensor(inputs: AttnInputs, side: str = "q", normalization: str = "trace",
+                  hadamard: bool = False) -> np.ndarray:
     t = _loop_operator(inputs.q, inputs.k, side=side, hadamard=hadamard)
     return _loop_matmul(_normalize_operator(t, normalization), inputs.v)
 
 
 def _naive_relu(inputs: AttnInputs, side: str = "q", hadamard: bool = False) -> np.ndarray:
     t = _loop_operator(inputs.q, inputs.k, side=side, hadamard=hadamard)
-    total = _loop_trace(t)
-    if total <= 0:
-        raise DegenerateNormalizer("oracle operator trace is not positive")
+    total = _positive_trace(t)
     n = t.shape[0]
     clamped = np.zeros_like(t)
     for i in range(n):
@@ -398,9 +397,7 @@ def _naive_expm(inputs: AttnInputs, side: str = "q", hadamard: bool = False) -> 
 
 def _naive_masked(inputs: AttnInputs, side: str = "q", hadamard: bool = False) -> np.ndarray:
     t = _loop_operator(inputs.q, inputs.k, side=side, hadamard=hadamard)
-    total = _loop_trace(t)
-    if total <= 0:
-        raise DegenerateNormalizer("oracle operator trace is not positive")
+    total = _positive_trace(t)
     n = t.shape[0]
     masked = np.zeros_like(t)
     for i in range(n):
@@ -409,9 +406,8 @@ def _naive_masked(inputs: AttnInputs, side: str = "q", hadamard: bool = False) -
     return _loop_matmul(masked, inputs.v) / total
 
 
-def _naive_residual(
-    inputs: AttnInputs, side: str = "q", lam: float = 0.0, hadamard: bool = False
-) -> np.ndarray:
+def _naive_residual(inputs: AttnInputs, side: str = "q", lam: float = 0.0,
+                    hadamard: bool = False) -> np.ndarray:
     t = _loop_operator(inputs.q, inputs.k, side=side, hadamard=hadamard)
     total = _loop_trace(t)
     n = t.shape[0]
@@ -423,40 +419,12 @@ def _naive_residual(
 
 def _naive_interaction(inputs: AttnInputs, side: str = "q", hadamard: bool = False) -> np.ndarray:
     q, k, v = inputs.q, inputs.k, inputs.v
-    n, d = q.shape
-    if v.shape[1] != d:
+    if v.shape[1] != q.shape[1]:
         raise DimensionMismatch("oracle interaction needs square values")
-    b = np.zeros((d, d), dtype=np.result_type(q, k))
-    for s in range(d):
-        for t in range(d):
-            acc = 0
-            for i in range(n):
-                acc += np.conj(q[i, s]) * k[i, t]
-            b[s, t] = acc
-    op = np.zeros((d, d), dtype=b.dtype)
-    for s in range(d):
-        for t in range(d):
-            if hadamard:
-                op[s, t] = b[s, t] * np.conj(b[t, s])
-            else:
-                acc = 0
-                for r in range(d):
-                    if side == "q":
-                        acc += b[s, r] * np.conj(b[t, r])
-                    else:
-                        acc += np.conj(b[r, s]) * b[r, t]
-                op[s, t] = acc
-    total = _loop_trace(op)
-    if total <= 0:
-        raise DegenerateNormalizer("oracle interaction trace is not positive")
-    out = np.zeros((n, d), dtype=np.result_type(op, v))
-    for i in range(n):
-        for s in range(d):
-            acc = 0
-            for t in range(d):
-                acc += op[s, t] * v[i, t]
-            out[i, s] = acc / total
-    return out
+    # The score loop on Q^H and K^H gives B = Q^H K, so this is B's flavored product,
+    # just as the token operator is that of A = Q K^H.
+    op = _loop_operator(q.conj().T, k.conj().T, side=side, hadamard=hadamard)
+    return _loop_matmul(v, op.T) / _positive_trace(op)
 
 
 _NAIVE = {
@@ -484,9 +452,8 @@ def naive_reference(inputs: AttnInputs, variant: str, **options) -> np.ndarray:
     try:
         reference = _NAIVE[variant]
     except KeyError:
-        raise UnknownVariant(
-            f"unknown variant {variant!r}; expected one of {sorted(_NAIVE)}"
-        ) from None
+        raise UnknownVariant(f"unknown variant {variant!r}; expected one of {sorted(_NAIVE)}",
+                             variant=variant, known=sorted(_NAIVE)) from None
     return reference(inputs, **options)
 
 

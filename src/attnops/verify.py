@@ -8,12 +8,15 @@ prove it detects broken identities.
 
 Two table-driven loops hold the operator and mechanism checks.  ``_IDENTITIES``
 runs each token-operator identity over side x flavor x real/complex where it
-holds.  ``_ORACLES`` is the domain table: it names each registry id's loop
-oracle in ``oracles.py``, the oracle's fixed options and the id's domain, and
-each id runs through ``registry.forward`` on every side, flavor and scalar
-kind, at n > d and at n < d (a singular Gram), with d_v != d where it allows.
-Inside its domain an id must match its oracle to 1e-12 of the largest entry;
-outside it must raise.  One check per identity and one per id.
+holds.  The mechanism loop reads ``registry.MECHANISMS``: each id's record names
+its loop oracle in ``oracles.py``, the arguments both sides get and the id's
+domain, and each id runs through ``registry.forward`` on every side, flavor and
+scalar kind, at n > d and at n < d (a singular Gram), with d_v != d where it
+allows.  Inside its domain an id must match its oracle to 1e-12 of the largest
+entry, times max(1, max|T / tr T|) for the two exp-based ids, whose exponential
+amplifies the rounding of T / tr T by up to that much.  Outside its domain it
+must raise, and where the record refuses an option the implementation must
+refuse it too.  One check per identity and one per id.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .oracles import (
     naive_reference,
     trace_identity_report,
 )
-from .registry import forward, variant_ids
+from . import registry
 from .synth import random_inputs, random_matrix
 from .tensor_attention import (
     TensorOpConfig,
@@ -71,30 +74,10 @@ _IDENTITIES = (
      lambda q, k, side, t, rng: np.max(np.abs(diag_fast(q, k, side) - np.diag(t)))),
 )
 
-# Each registry id: (loop oracle, its fixed options, domain flags).  Outside the domain
-# the id must raise:
-#   plain    takes no side or flavor option (the baselines)
-#   real     complex inputs raise ComplexNotSupported
-#   product  the elementwise flavor raises ValueError (no rank-d form)
-#   nonneg   Q and K entrywise non-negative, so real; complex raises ComplexNotSupported
-#   square   d_v = d
-_ORACLES = {
-    "softmax": ("softmax", {}, {"plain", "real"}),
-    "kernel": ("kernel", {}, {"plain", "real"}),
-    "tensor_naive": ("tensor", {}, set()),
-    "tensor_diag": ("tensor", {"normalization": "diag"}, set()),
-    "tensor_row": ("tensor", {"normalization": "row"}, {"nonneg"}),
-    "tensor_linear": ("tensor", {}, {"product"}),
-    "tensor_relu": ("tensor_relu", {}, {"real"}),
-    "tensor_elem_exp": ("tensor_elem_exp", {}, {"real"}),
-    "tensor_expm": ("tensor_expm", {}, set()),
-    "tensor_masked": ("tensor_masked", {}, set()),
-    "tensor_residual": ("tensor_residual", {"lam": 0.5}, {"product"}),
-    "interaction": ("interaction", {}, {"square"}),
-}
 # (n, d, d_v): n > d, and n < d, where the d-by-d Gram is singular
 _ORACLE_SHAPES = ((4, 3, 2), (2, 5, 4))
 _ORACLE_TOL = 1e-12  # relative to the oracle's largest entry
+_CONDITIONED = ("tensor_elem_exp", "tensor_expm")  # their bound scales with max|T / tr T|
 
 
 @dataclass(frozen=True)
@@ -180,37 +163,54 @@ def _identity_checks(rng) -> list[CheckResult]:
             for (name, tol, product, real, _), dev in zip(_IDENTITIES, worst)]
 
 
+def _attempt(fn, *args, **kwargs):
+    """The answer, or the exception raised: any raise is a verdict on the id, not a crash."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:
+        return exc
+
+
 def _oracle_check(variant: str, seed: int) -> CheckResult:
-    """``variant`` through ``registry.forward`` on every case, against its ``_ORACLES`` row."""
-    reference, fixed, domain = _ORACLES[variant]
+    """``variant`` through ``registry.forward`` on every case, against its ``Mechanism`` record."""
+    mechanism = registry.lookup(variant)
+    domain = mechanism.domain
     configs = [{}] if "plain" in domain else [
         {"side": side, "hadamard": hadamard} for hadamard in (False, True) for side in "qk"]
-    dev, faults = 0.0, []
+    dev, worst_scale, faults = 0.0, 1.0, []
     for case, ((n, d, d_v), complex_) in enumerate(itertools.product(_ORACLE_SHAPES, (False, True))):
         x = random_inputs(n, d, d if "square" in domain else d_v, seed=seed + 300 + case,
                           complex_=complex_)
         if "nonneg" in domain and not complex_:
             x = AttnInputs(np.abs(x.q), np.abs(x.k), x.v)
         for cfg in configs:
-            outside = (ComplexNotSupported if complex_ and domain & {"real", "nonneg"}
+            outside = (ComplexNotSupported if complex_ and {"real", "nonneg"}.intersection(domain)
                        else ValueError if cfg.get("hadamard") and "product" in domain else None)
-            try:
-                fast = forward(variant, x, **cfg)
-            except Exception as exc:  # any raise is a verdict on the id, not a crash of verify
-                fast = exc
+            fast = _attempt(registry.forward, variant, x, **cfg)
+            if outside is ValueError and isinstance(fast, ValueError):
+                # the record refuses the flavor before the call; the implementation must too
+                fast = _attempt(getattr(registry, mechanism.implementation), x,
+                                TensorOpConfig(**cfg), **mechanism.arguments)
             if outside is None and not isinstance(fast, Exception):
-                slow = naive_reference(x, reference, **fixed, **cfg)
-                dev = max(dev, np.max(np.abs(fast - slow)) / np.max(np.abs(slow))
+                slow = naive_reference(x, mechanism.oracle, **mechanism.arguments, **cfg)
+                scale = 1.0
+                if variant in _CONDITIONED:  # T / tr T is the trace-normalized oracle on I
+                    eye = AttnInputs(x.q, x.k, np.eye(n))
+                    scale = max(1.0, np.max(np.abs(naive_reference(eye, "tensor", **cfg))))
+                    worst_scale = max(worst_scale, scale)
+                dev = max(dev, np.max(np.abs(fast - slow)) / np.max(np.abs(slow)) / scale
                           if fast.shape == slow.shape else math.inf)
             elif not (outside and isinstance(fast, outside)):
                 want = outside.__name__ if outside else "an answer"
                 got = repr(fast) if isinstance(fast, Exception) else "an answer"
                 kind = "complex" if complex_ else "real"
                 faults.append(f"{kind} n={n} d={d} {cfg}: expected {want}, got {got}")
-    options = "".join(f" {key}={value}" for key, value in fixed.items())
+    options = "".join(f" {key}={value}" for key, value in mechanism.arguments.items())
+    scaled = (f", divided by max(1, max|T / tr T|), here up to {worst_scale:.3g}"
+              if variant in _CONDITIONED else "")
     return _result(f"{variant} equals its loop oracle on every case it accepts",
-                   math.inf if faults else dev, _ORACLE_TOL,
-                   "; ".join(faults) or f"oracle {reference}{options}; relative to the largest entry")
+                   math.inf if faults else dev, _ORACLE_TOL, "; ".join(faults) or
+                   f"oracle {mechanism.oracle}{options}; relative to the largest entry{scaled}")
 
 
 def run_verify(seed: int = 2024, negative_control: bool = False) -> VerifyReport:
@@ -235,21 +235,12 @@ def run_verify(seed: int = 2024, negative_control: bool = False) -> VerifyReport
         sym = trace_identity_report(a, b + b.T)
         dev = max(dev, sym.symmetric_dev)
     boundary = trace_identity_report([[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]])
-    boundary_shows_gap = (
-        abs(boundary.product_trace - 1.0) < 1e-15
-        and abs(boundary.hadamard_sum) < 1e-15
-        and abs(boundary.hadamard_sum_transposed - 1.0) < 1e-15
-    )
-    if not boundary_shows_gap:
+    gap = (boundary.product_trace, boundary.hadamard_sum, boundary.hadamard_sum_transposed)
+    if np.max(np.abs(np.subtract(gap, (1.0, 0.0, 1.0)))) >= 1e-15:
         dev = max(dev, 1.0)
-    checks.append(
-        _result(
-            "trace vs Hadamard sum: tr(AB) = sum(A o B^T); sum(A o B) only for symmetric B",
-            dev,
-            1e-10,
-            "boundary counterexample separates the unsymmetric case",
-        )
-    )
+    checks.append(_result(
+        "trace vs Hadamard sum: tr(AB) = sum(A o B^T); sum(A o B) only for symmetric B", dev, 1e-10,
+        "boundary counterexample separates the unsymmetric case"))
 
     # partial trace of a Kronecker product factorizes; full trace is preserved
     dev = 0.0
@@ -271,28 +262,14 @@ def run_verify(seed: int = 2024, negative_control: bool = False) -> VerifyReport
         dev = max(dev, kron_vec_check(q, k).max_deviation)
     checks.append(_result("kron/vec bijection under column stacking", dev, 1e-12))
 
-    control = kron_vec_check(
-        rng.standard_normal((3, 2)), rng.standard_normal((3, 2)), vec_order="row"
-    )
-    checks.append(
-        CheckResult(
-            "row-stacking control is detected as wrong",
-            control.max_deviation,
-            1e-12,
-            passed=not control.passed,
-            detail="this check passes when the planted convention fails",
-        )
-    )
+    control = kron_vec_check(rng.standard_normal((3, 2)), rng.standard_normal((3, 2)), "row")
+    checks.append(CheckResult("row-stacking control is detected as wrong", control.max_deviation,
+                              1e-12, not control.passed,
+                              "this check passes when the planted convention fails"))
     if negative_control:
-        checks.append(
-            CheckResult(
-                "planted negative control: row-stacking vec bijection",
-                control.max_deviation,
-                1e-12,
-                passed=control.passed,
-                detail="deliberately wrong convention, expected to fail",
-            )
-        )
+        checks.append(CheckResult("planted negative control: row-stacking vec bijection",
+                                  control.max_deviation, 1e-12, control.passed,
+                                  "deliberately wrong convention, expected to fail"))
 
     # Frobenius identity
     dev = 0.0
@@ -315,31 +292,21 @@ def run_verify(seed: int = 2024, negative_control: bool = False) -> VerifyReport
     checks.append(_result("row-normalized operator rows sum to one", dev, 1e-12))
 
     # matrix exponential identities
-    dev_methods = 0.0
-    dev_inverse = 0.0
-    dev_transpose = 0.0
-    dev_det = 0.0
+    devs = np.zeros(4)
     for trial in range(10):
         a = rng.standard_normal((3, 3))
         a = a / max(np.max(np.sum(np.abs(a), axis=0)), 1.0)  # keep the 1-norm at or below 1
-        dev_methods = max(dev_methods, np.max(np.abs(expm_taylor(a, 30) - expm_pade(a, 6, 6))))
-        dev_inverse = max(
-            dev_inverse, np.max(np.abs(expm_pade(a) @ expm_pade(-a) - np.eye(3)))
-        )
-        dev_transpose = max(dev_transpose, np.max(np.abs(expm_pade(a.T) - expm_pade(a).T)))
         m = expm_pade(a)
-        det3 = (
-            m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-            - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-            + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
-        )
-        dev_det = max(dev_det, _rel(det3, np.exp(np.trace(a))))
-    checks.append(_result("Taylor and Pade exponentials agree", dev_methods, 1e-8))
-    checks.append(_result("expm(A) expm(-A) = I", dev_inverse, 1e-8))
-    checks.append(_result("expm commutes with transpose", dev_transpose, 1e-10))
-    checks.append(_result("det(expm(A)) = exp(tr(A))", dev_det, 1e-8))
+        devs = np.maximum(devs, [np.max(np.abs(expm_taylor(a, 30) - expm_pade(a, 6, 6))),
+                                 np.max(np.abs(m @ expm_pade(-a) - np.eye(3))),
+                                 np.max(np.abs(expm_pade(a.T) - m.T)),
+                                 _rel(np.linalg.det(m), np.exp(np.trace(a)))])
+    for name, dev, tol in zip(("Taylor and Pade exponentials agree", "expm(A) expm(-A) = I",
+                               "expm commutes with transpose", "det(expm(A)) = exp(tr(A))"),
+                              devs, (1e-8, 1e-8, 1e-10, 1e-8)):
+        checks.append(_result(name, dev, tol))
 
-    checks += [_oracle_check(variant, seed) for variant in variant_ids()]
+    checks += [_oracle_check(variant, seed) for variant in registry.variant_ids()]
 
     # factored masked scan and expm against the trace-normalized operator built from
     # the score matrix; the masked size spans several scan blocks, the expm size keeps
@@ -376,26 +343,22 @@ def run_verify(seed: int = 2024, negative_control: bool = False) -> VerifyReport
                           detail="n=1 and 2, complex; relative to the largest entry"))
 
     # interaction-specific identities
-    dev = 0.0
     q = rng.standard_normal((9, 4))
     k = rng.standard_normal((9, 4))
-    coupling = q.T @ k
-    dev = max(dev, _rel(trace(build_interaction_operator(q, k)), float(np.sum(coupling**2))))
-    dev = max(dev, _rel(interaction_trace(q, k), float(np.sum(coupling**2))))
-    grown = build_interaction_operator(np.vstack([q, q]), np.vstack([k, k]))
-    if grown.shape != (4, 4):
+    frobenius = float(np.sum((q.T @ k) ** 2))
+    dev = max(_rel(trace(build_interaction_operator(q, k)), frobenius),
+              _rel(interaction_trace(q, k), frobenius))
+    if build_interaction_operator(np.vstack([q, q]), np.vstack([k, k])).shape != (4, 4):
         dev = max(dev, 1.0)
-    checks.append(
-        _result("channel operator trace identity; size independent of token count", dev, 1e-10)
-    )
+    checks.append(_result("channel operator trace identity; size independent of token count",
+                          dev, 1e-10))
 
     # finite differences: same function on both paths, same gradients
     inputs = random_inputs(4, 3, seed=seed + 400)
     u = rng.standard_normal(4)
     w = rng.standard_normal(3)
-    grad_naive = fd_probe("tensor_naive", inputs, u, w)
-    grad_linear = fd_probe("tensor_linear", inputs, u, w)
-    dev = float(np.max(np.abs(grad_naive - grad_linear)))
+    grads = [fd_probe(variant, inputs, u, w) for variant in ("tensor_naive", "tensor_linear")]
+    dev = np.max(np.abs(grads[0] - grads[1]))
     checks.append(_result("finite-difference gradients: materialized vs factorized", dev, 1e-4))
 
     # convex-combination bounds for normalized non-negative weights
@@ -414,10 +377,8 @@ def run_verify(seed: int = 2024, negative_control: bool = False) -> VerifyReport
     x = rng.standard_normal((65, 32)) * 5.0 + 2.0
     scale = rng.standard_normal(32)
     shift = rng.standard_normal(32)
-    pairs = [
-        (gelu(h), loop_gelu(h)),
-        (layer_norm(x, scale, shift), loop_layer_norm(x, scale, shift, LAYER_NORM_EPS)),
-    ]
+    pairs = [(gelu(h), loop_gelu(h)),
+             (layer_norm(x, scale, shift), loop_layer_norm(x, scale, shift, LAYER_NORM_EPS))]
     dev = max(np.max(np.abs(fast - slow)) / np.max(np.abs(slow)) for fast, slow in pairs)
     checks.append(_result("encoder gelu and layer norm equal their loop oracles", dev, 1e-12,
                           detail="relative to the largest entry"))

@@ -8,8 +8,8 @@ patches, add positional embeddings, then run L rounds of
 
 and read out the layer-normalized class token.  The mixer is any registry
 variant id (or a callable), which makes the encoder the integration vehicle
-for comparing mechanisms end to end.  An unknown id fails when the parameters
-are built; a callable's output goes through ``as_matrix``.
+for comparing mechanisms end to end.  An unknown id or mechanism option fails
+when the parameters are built; a callable's output goes through ``as_matrix``.
 
 Allocation discipline: the mixer gets a layer-normed copy of the tokens and
 its output is only read, since a callable mixer may keep either.  The rest of a
@@ -109,8 +109,8 @@ class ViTParams:
     mechanism_options: Mapping = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not callable(self.mechanism):
-            lookup(self.mechanism)  # an unknown id fails here, not at the first forward
+        if not callable(self.mechanism):  # an unknown id or option fails here, not at a forward
+            lookup(self.mechanism).check(self.mechanism_options)
 
     @property
     def patch_dim(self) -> int:

@@ -5,6 +5,7 @@ and then asserts, so a red test always corresponds to a named criterion.
 """
 
 import math
+import statistics
 import time
 
 import numpy as np
@@ -31,7 +32,6 @@ from attnops import (
     random_matrix,
     run_bench,
     score_matrix,
-    summarize,
     tensor_attention_linear,
     tensor_attention_naive,
     tensor_interaction,
@@ -128,10 +128,12 @@ def test_criterion_04_fast_diagonal_and_scaling():
             t = build_tensor_operator(q, k, TensorOpConfig(side=side))
             worst = max(worst, float(np.max(np.abs(diag_fast(q, k, side) - np.diag(t)))))
 
-    # The fast cells finish in about a millisecond, so a single sweep is at
-    # the mercy of scheduler jitter.  Each route runs three sweeps and the
-    # per-cell medians are taken over the pooled records, which spreads any
-    # transient disturbance across both cells of the ratio.
+    # The fast cells finish in about a millisecond, so one sweep is at the mercy of
+    # scheduler jitter: on a loaded 2-vCPU host a stall of the n=8192 cell alone gave
+    # sweep ratios of 6.9 and 9.0, and the median over three pooled sweeps 3.14, past
+    # the upper bound.  Each sweep times both cells back to back, so its own ratio
+    # compares them under the same load; the median over several sweeps drops the
+    # sweeps that a stall hit.
     fast_config = BenchConfig(
         variants=("diag_fast",),
         n_values=(4096, 8192),
@@ -149,15 +151,11 @@ def test_criterion_04_fast_diagonal_and_scaling():
         warmup=1,
     )
 
-    def pooled_ratio(config, cell):
-        records = []
-        for _ in range(3):
-            swept, _ = run_bench(config)
-            records.extend(swept)
-        return summarize(records).doubling_ratios[cell]
+    def median_sweep_ratio(config, cell, sweeps):
+        return statistics.median(run_bench(config)[1].doubling_ratios[cell] for _ in range(sweeps))
 
-    fast_ratio = pooled_ratio(fast_config, ("diag_fast", 4096, 8192))
-    naive_ratio = pooled_ratio(naive_config, ("diag_naive", 4096, 8192))
+    fast_ratio = median_sweep_ratio(fast_config, ("diag_fast", 4096, 8192), 7)
+    naive_ratio = median_sweep_ratio(naive_config, ("diag_naive", 4096, 8192), 5)
     elapsed = time.perf_counter() - start
     ok = worst < 1e-10 and 1.5 <= fast_ratio <= 2.7 and naive_ratio > 3.2 and elapsed < 120.0
     _report(4, "fast diagonal: equality and linear-time doubling ratio", ok,

@@ -8,13 +8,21 @@ import pytest
 import attnops
 from attnops import (
     AttnInputs,
+    AttnOpsError,
+    BenchConfig,
     DegenerateNormalizer,
+    InvalidOption,
     NonFiniteInput,
     SingularDenominator,
+    UnknownOption,
+    UnknownVariant,
+    bench_targets,
     errors,
     expm_pade,
     forward,
     linear_kernel_attention,
+    naive_reference,
+    variant_ids,
     tensor_attention_naive,
     tensor_interaction,
 )
@@ -78,6 +86,33 @@ def test_non_finite_input_names_its_stage():
     with pytest.raises(NonFiniteInput, match="kernel attention overflowed") as result:
         linear_kernel_attention(AttnInputs(np.eye(2), np.eye(2), np.full((2, 2), 1e308)))
     assert vars(result.value) == {"stage": "kernel attention"}
+
+
+def test_unknown_ids_and_options_carry_their_names():
+    inputs = AttnInputs(np.eye(2), np.eye(2), V)
+    oracle_ids = ("interaction", "kernel", "softmax", "tensor", "tensor_elem_exp", "tensor_expm",
+                  "tensor_masked", "tensor_relu", "tensor_residual")
+    cases = [
+        (lambda: forward("nope", inputs), variant_ids()),
+        (lambda: BenchConfig(variants=("nope",), n_values=(4,)), tuple(sorted(bench_targets()))),
+        (lambda: naive_reference(inputs, "nope"), oracle_ids),
+    ]
+    for call, known in cases:
+        with pytest.raises(UnknownVariant, match="'nope'") as err:
+            call()
+        assert vars(err.value) == {"variant": "nope", "known": known}
+
+    # an unknown name is a TypeError, as for a bad keyword; a bad value a ValueError
+    with pytest.raises(UnknownOption, match="tensor_masked takes no option 'lam'") as name:
+        forward("tensor_masked", inputs, lam=0.5)
+    assert isinstance(name.value, AttnOpsError) and isinstance(name.value, TypeError)
+    assert vars(name.value) == {"mechanism": "tensor_masked", "option": "lam",
+                                "accepted": ("hadamard", "side")}
+    with pytest.raises(InvalidOption, match="side must be one of") as value:
+        forward("interaction", inputs, side="both")
+    assert isinstance(value.value, ValueError) and not isinstance(value.value, TypeError)
+    assert vars(value.value) == {"mechanism": "interaction", "option": "side",
+                                 "accepted": ("q", "k")}
 
 
 def test_every_error_class_is_exported_and_raised():

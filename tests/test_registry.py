@@ -1,3 +1,6 @@
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
@@ -20,7 +23,7 @@ from attnops import (
     tensor_interaction,
     variant_ids,
 )
-from attnops import registry
+from attnops import naive_reference, registry
 from attnops.tensor_attention import FactoredOperator
 
 # The implementation each id reaches, by its attribute name on attnops.registry.
@@ -83,6 +86,31 @@ class TestTracerContract:
         assert len(calls) == 1
         assert calls[0][0] is inputs
         assert out.shape == (inputs.n, inputs.d_v)
+
+
+class TestRecordsMatchTheirCode:
+    # Every argument a record states must bind to its implementation's signature, and
+    # its oracle must be one naive_reference runs, so the table cannot drift from the code.
+    @pytest.mark.parametrize("variant", sorted(IMPLEMENTATIONS))
+    def test_arguments_and_options_bind(self, variant):
+        record = registry.lookup(variant)
+        assert record.implementation == IMPLEMENTATIONS[variant]
+        parameters = inspect.signature(getattr(registry, record.implementation)).parameters
+        config_fields = {f.name for f in dataclasses.fields(TensorOpConfig)}
+        assert record.fixed.keys().isdisjoint(record.defaults)
+        for name in {*record.fixed, *record.defaults, *record.accepted}:
+            if name in config_fields:  # side and hadamard reach the code as cfg
+                assert "cfg" in parameters
+            else:
+                assert parameters[name].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+        assert ("cfg" in parameters) == ("plain" not in record.domain)
+
+    @pytest.mark.parametrize("variant", sorted(IMPLEMENTATIONS))
+    def test_the_oracle_runs_with_the_record_arguments(self, variant):
+        record = registry.lookup(variant)
+        # a known oracle id that takes the options the record passes it
+        out = naive_reference(nonneg_inputs(n=3, d=3), record.oracle, **record.arguments)
+        assert out.shape == (3, 3)
 
 
 class TestOptionsRejected:

@@ -21,7 +21,9 @@ from attnops import (
     AttnOpsError,
     DegenerateNormalizer,
     DimensionMismatch,
+    InvalidOption,
     NonFiniteInput,
+    UnknownOption,
     UnknownVariant,
     array_checksum,
     forward,
@@ -200,6 +202,35 @@ class TestInit:
         params = vit_init(6, 8, 32, 4, 1, mechanism="tensor_linear")
         with pytest.raises(UnknownVariant, match="'nope'"):
             dataclasses.replace(params, mechanism="nope")
+
+
+    @pytest.mark.parametrize("mechanism, options, error, fields", [
+        ("tensor_linear", {"bogus": 1}, UnknownOption,
+         {"option": "bogus", "accepted": ("hadamard", "side")}),
+        ("softmax", {"side": "q"}, UnknownOption, {"option": "side", "accepted": ()}),
+        ("tensor_diag", {"normalization": "row"}, UnknownOption,
+         {"option": "normalization", "accepted": ("hadamard", "side")}),
+        ("tensor_linear", {"side": "x"}, InvalidOption, {"option": "side", "accepted": ("q", "k")}),
+        ("tensor_residual", {"hadamard": True}, InvalidOption,
+         {"option": "hadamard", "accepted": ("False",)}),
+    ])
+    def test_a_bad_mechanism_option_fails_at_build_time(self, mechanism, options, error, fields):
+        with pytest.raises(error) as built:
+            vit_init(6, 8, 16, 4, 3, mechanism=mechanism, mechanism_options=options)
+        assert isinstance(built.value, AttnOpsError)
+        assert vars(built.value) == {"mechanism": mechanism, **fields}
+        params = vit_init(6, 8, 16, 4, 3, mechanism=mechanism)
+        with pytest.raises(error):
+            dataclasses.replace(params, mechanism_options=options)
+        x = random_matrix(5, 4, seed=0)
+        with pytest.raises(error) as called:  # registry.forward runs the same check
+            forward(mechanism, AttnInputs(x, x, x), **options)
+        assert vars(called.value) == vars(built.value)
+
+    def test_accepted_mechanism_options_build_and_run(self):
+        params = vit_init(6, 8, 16, 4, 2, mechanism="tensor_residual",
+                          mechanism_options={"side": "k", "lam": 0.0})
+        assert np.all(np.isfinite(vit_forward(params, random_matrix(4, 6, seed=1))))
 
 
 class TestForward:
