@@ -24,6 +24,7 @@ from .bench import (
     write_records,
 )
 from .dense import (
+    adjoint_product,
     as_matrix,
     as_square,
     as_vector,

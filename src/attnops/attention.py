@@ -75,7 +75,7 @@ def conform_pair(q, k) -> tuple[np.ndarray, np.ndarray]:
 def require_real(is_complex: bool, what: str) -> None:
     """Raise ComplexNotSupported for an operation defined on real scalars only."""
     if is_complex:
-        raise ComplexNotSupported(f"{what} is defined for real inputs only")
+        raise ComplexNotSupported(f"{what} is defined for real inputs only", operation=what)
 
 
 def row_softmax(logits: np.ndarray) -> np.ndarray:

@@ -4,7 +4,10 @@ Scalars are float64 or complex128; anything else is promoted on entry.  Every
 public operation validates shapes and finiteness before computing, never
 mutates its operands, and keeps no global state, so values can be shared
 freely across threads.  Every mechanism guards its output with ``finite_result``
-and its trace, diagonal or row-sum normalizer with ``checked_normalizer``.
+and its trace, diagonal or row-sum normalizer with ``checked_normalizer``, and
+divides by that normalizer with ``divide_in_place``.  That helper and
+``adjoint_product`` are the kernels' inner steps: they take arrays already
+validated, and ``divide_in_place`` writes into its first argument.
 
 The vectorization convention is column-stacking throughout (the one that
 satisfies vec(AXB) = (B^T kron A) vec(X)); the partial trace assumes the
@@ -84,6 +87,42 @@ def checked_normalizer(values, size: int, name: str = "operator trace"):
         raise DegenerateNormalizer(f"{label} {value:.3e} is below {eps:.3e}",
                                    value=float(value), threshold=eps, name=name, index=worst)
     return values
+
+
+def adjoint_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a^H b for arrays of n rows, with no conjugate copy of ``a``.
+
+    A real ``a`` gives exactly ``a.T @ b``, which numpy sends to ``syrk`` when
+    ``b is a``.  C-contiguous complex128 operands make one float64 product of
+    their interleaved views, F = view(a)^T view(b) (``syrk`` again when ``b is
+    a``), and read the d-by-p result off its four strided quarters:
+    re = F[0::2, 0::2] + F[1::2, 1::2] and im = F[0::2, 1::2] - F[1::2, 0::2].
+    A Gram a^H a thus costs half a complex product, and F's symmetry makes it
+    exactly Hermitian with a zero imaginary diagonal.  Any other pair (mixed
+    real and complex, say) takes ``a.conj().T @ b``.
+    """
+    if a.dtype.kind != "c":
+        return a.T @ b
+    if a.dtype == b.dtype == COMPLEX and a.flags.c_contiguous and b.flags.c_contiguous:
+        f = a.view(REAL).T @ b.view(REAL)
+        out = np.empty((a.shape[1], b.shape[1]), COMPLEX)
+        np.add(f[0::2, 0::2], f[1::2, 1::2], out=out.real)
+        np.subtract(f[0::2, 1::2], f[1::2, 0::2], out=out.imag)
+        return out
+    return a.conj().T @ b
+
+
+def divide_in_place(out: np.ndarray, normalizer) -> np.ndarray:
+    """Divide ``out`` by a real scalar, or a column of real row normalizers, in place.
+
+    ``out`` is a fresh C-contiguous result that nothing else holds.  A complex
+    one is divided through its float64 view: each part gets one correctly
+    rounded real division, where ``out / normalizer`` would run numpy's
+    complex-by-complex divide.  Real bytes are those of ``out / normalizer``.
+    """
+    values = out.view(REAL) if out.dtype == COMPLEX else out
+    np.divide(values, normalizer, out=values)
+    return out
 
 
 def gemm(a, b, *, trans_b: bool = False) -> np.ndarray:

@@ -26,7 +26,11 @@ class NonFiniteInput(AttnOpsError, ValueError):
 
 
 class ComplexNotSupported(AttnOpsError, TypeError):
-    """The operation is defined for real scalars only."""
+    """The operation is defined for real scalars only; ``operation`` names it, when known."""
+
+    def __init__(self, message, *, operation=None):
+        super().__init__(message)
+        self.operation = operation
 
 
 class DegenerateNormalizer(AttnOpsError, ArithmeticError):
@@ -62,9 +66,10 @@ class UnknownVariant(AttnOpsError, KeyError):
 
 
 class InvalidOption(AttnOpsError, ValueError):
-    """A registry id does not take this option value: a bad ``side``, or ``hadamard`` on an
-    id with no elementwise flavor.  ``mechanism`` names the id and ``option`` the option;
-    ``accepted`` holds the values it takes, or for ``UnknownOption`` the names the id takes.
+    """A registry id does not take this option value: a bad ``side`` or ``normalization``, a
+    ``lam`` that is negative or not finite, or ``hadamard`` on an id with no elementwise
+    flavor.  ``mechanism`` names the id and ``option`` the option; ``accepted`` holds the
+    values it takes, or for ``UnknownOption`` the names the id takes.
     """
 
     def __init__(self, message, *, mechanism, option, accepted):

@@ -50,6 +50,11 @@ def _loop_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def loop_adjoint_product(a, b) -> np.ndarray:
+    """a^H b one entry at a time: out[i, j] = sum_t conj(a[t, i]) b[t, j]."""
+    return _loop_matmul(np.conj(np.asarray(a)).T, np.asarray(b))
+
+
 def _loop_scores(q: np.ndarray, k: np.ndarray) -> np.ndarray:
     n, d = q.shape
     out = np.zeros((n, n), dtype=np.result_type(q, k))
@@ -264,7 +269,8 @@ def trace_identity_report(a, b) -> TraceIdentityReport:
     a = as_matrix(a, "a")
     b = as_matrix(b, "b")
     if np.iscomplexobj(a) or np.iscomplexobj(b):
-        raise ComplexNotSupported("trace identity report is defined for real matrices")
+        raise ComplexNotSupported("trace identity report is defined for real matrices",
+                                  operation="trace identity report")
     if a.shape[0] != a.shape[1] or a.shape != b.shape:
         raise NotSquare(f"need square matrices of equal shape, got {a.shape} and {b.shape}")
     n = a.shape[0]
@@ -465,7 +471,8 @@ def loop_gelu(x) -> np.ndarray:
     """0.5 x (1 + erf(x / sqrt 2)) one real element at a time, with ``math.erf``."""
     x = np.asarray(x)
     if np.iscomplexobj(x):
-        raise ComplexNotSupported("the gelu oracle is defined for real inputs")
+        raise ComplexNotSupported("the gelu oracle is defined for real inputs",
+                                  operation="gelu oracle")
     values = [0.5 * v * (1.0 + math.erf(v / math.sqrt(2.0))) for v in x.ravel().tolist()]
     return np.array(values, dtype=float).reshape(x.shape)
 
@@ -474,7 +481,8 @@ def loop_layer_norm(x, scale, shift, eps: float) -> np.ndarray:
     """Row by row: explicit mean and variance sums, then normalize, scale and shift."""
     x = as_matrix(x, "x")
     if np.iscomplexobj(x):
-        raise ComplexNotSupported("the layer-norm oracle is defined for real inputs")
+        raise ComplexNotSupported("the layer-norm oracle is defined for real inputs",
+                                  operation="layer-norm oracle")
     scale = as_vector(scale, "scale")
     shift = as_vector(shift, "shift")
     rows, width = x.shape
@@ -504,7 +512,8 @@ def fd_probe(variant, inputs: AttnInputs, probe_u, probe_w, h: float = 1e-5) -> 
     if not 1e-7 <= h <= 1e-3:
         raise ValueError(f"step h={h} outside [1e-7, 1e-3]")
     if inputs.is_complex:
-        raise ComplexNotSupported("finite differences probe real inputs only")
+        raise ComplexNotSupported("finite differences probe real inputs only",
+                                  operation="finite differences")
     from .registry import forward
 
     fn = variant if callable(variant) else (lambda attn: forward(variant, attn))

@@ -9,6 +9,7 @@ a constant of the library, not an option.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -18,6 +19,7 @@ from .attention import AttnInputs, linear_kernel_attention, softmax_attention
 from .errors import InvalidOption, UnknownOption, UnknownVariant
 # The records name these implementations; each call looks its one up on this module.
 from .tensor_attention import (
+    _NORMALIZATIONS,
     _SIDES,
     DIAG,
     Q_SIDE,
@@ -69,7 +71,7 @@ class Mechanism:
             () if "plain" in self.domain else ("side", "hadamard", *self.defaults)))
 
     def check(self, options: Mapping) -> None:
-        """Raise ``UnknownOption`` or ``InvalidOption`` unless this id takes every option."""
+        """Raise ``UnknownOption`` or ``InvalidOption`` unless this id takes every option value."""
         if not options.keys() <= self.accepted:
             option = next(str(key) for key in options if key not in self.accepted)
             accepted = tuple(sorted(self.accepted))
@@ -81,6 +83,14 @@ class Mechanism:
         if options.get("hadamard") and "product" in self.domain:
             raise InvalidOption(f"{self.name}: the elementwise flavor has no rank-d factorization",
                                 mechanism=self.name, option="hadamard", accepted=("False",))
+        if (normalization := options.get("normalization", TRACE)) not in _NORMALIZATIONS:
+            raise InvalidOption(f"{self.name}: normalization must be one of {_NORMALIZATIONS}, "
+                                f"got {normalization!r}", mechanism=self.name,
+                                option="normalization", accepted=_NORMALIZATIONS)
+        if "lam" in options and not _finite_non_negative(options["lam"]):
+            raise InvalidOption(f"{self.name}: lam must be finite and non-negative, "
+                                f"got {options['lam']!r}", mechanism=self.name, option="lam",
+                                accepted=("[0, inf)",))
 
     def __call__(self, inputs: AttnInputs, **options) -> np.ndarray:
         if options:
@@ -90,6 +100,13 @@ class Mechanism:
             return implementation(inputs)
         cfg = TensorOpConfig(options.pop("side", Q_SIDE), options.pop("hadamard", False))
         return implementation(inputs, cfg, **{**self.arguments, **options})
+
+
+def _finite_non_negative(value) -> bool:
+    try:
+        return bool(0 <= value < math.inf)
+    except (TypeError, ValueError):  # not a real number, or an array of them
+        return False
 
 
 MECHANISMS = {m.name: m for m in (

@@ -31,7 +31,11 @@ operator of ``tensor_interaction``; only ``tensor_naive`` and
 ``normalized_tensor_operator`` take a ``normalization`` (trace, diag or row).
 Every trace, diagonal and row-sum normalizer goes through
 ``dense.checked_normalizer``, which holds the one threshold, 1e-12 times the
-operator's order.
+operator's order, and ``dense.divide_in_place`` divides the fresh result by
+it.  Every n-row product W^H X (the Gram, W^H v, and B^H B and B^H v of the
+exponential) is ``dense.adjoint_product``: ``a.T @ b`` for real operands, and
+one float64 product of the interleaved views for complex ones, so a complex
+Gram is a real ``syrk``, exactly Hermitian, with no conjugate copy.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attention import AttnInputs, conform_pair, require_real
-from .dense import checked_normalizer, finite_result
+from .dense import adjoint_product, checked_normalizer, divide_in_place, finite_result
 
 Q_SIDE = "q"
 K_SIDE = "k"
@@ -102,19 +106,19 @@ class FactoredOperator:
             raise ValueError("the elementwise flavor has no rank-d factorization")
         w, other = (q, k) if cfg.side == Q_SIDE else (k, q)
         with np.errstate(over="ignore", invalid="ignore"):  # finite_result reports overflow
-            gram = other.conj().T @ other
+            gram = adjoint_product(other, other)
         op = cls(w, finite_result(gram, "Gram matrix"))
         object.__setattr__(op, "_self_gram", other is w)
         return op
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """T v, evaluated as W (G (W^H v)) so that every intermediate is d wide."""
-        projected = self.gram if self._self_gram and v is self.w else self.w.conj().T @ v
+        projected = self.gram if self._self_gram and v is self.w else adjoint_product(self.w, v)
         return self.w @ (self.gram @ projected)
 
     def trace(self) -> float:
         """tr(T) = sum(G o (W^H W)^T), the same on both sides."""
-        w_gram = self.gram if self._self_gram else self.w.conj().T @ self.w
+        w_gram = self.gram if self._self_gram else adjoint_product(self.w, self.w)
         return float(np.real(np.sum(self.gram * w_gram.T)))
 
     def diag(self) -> np.ndarray:
@@ -184,12 +188,12 @@ class FactoredOperator:
         shift = sum(math.frexp(np.max(np.abs(m)))[1] for m in (self.w, factor))
         shift = min(max(shift, -1022), 1023)  # keeps 2.0 ** +-shift finite
         b = self.w @ (factor * 2.0**-shift)
-        h = b.conj().T @ b
+        h = adjoint_product(b, b)
         tau = float(np.trace(h).real)
         checked_normalizer(tau * 2.0**shift * 2.0**shift, self.w.shape[0])
         mu, u = np.linalg.eigh(h / tau)
         phi = np.divide(np.expm1(mu), mu, out=np.ones_like(mu), where=mu != 0)
-        return v + b @ (u @ ((phi / tau)[:, None] * (u.conj().T @ (b.conj().T @ v))))
+        return v + b @ (u @ ((phi / tau)[:, None] * (u.conj().T @ adjoint_product(b, v))))
 
 
 def flavored_product(m: np.ndarray, side: str, hadamard: bool) -> np.ndarray:
@@ -252,15 +256,16 @@ def normalized_tensor_operator(
     if normalization not in _NORMALIZATIONS:
         raise ValueError(f"normalization must be one of {_NORMALIZATIONS}, got {normalization!r}")
     if normalization == TRACE:
-        t, total = _operator_and_trace(q, k, cfg)
-        return t / total
+        return divide_in_place(*_operator_and_trace(q, k, cfg))
     if normalization == ROW:
         require_real(np.iscomplexobj(q) or np.iscomplexobj(k), "row normalization")
     t = build_tensor_operator(q, k, cfg)
     n = t.shape[0]
     if normalization == DIAG:
-        return t / checked_normalizer(np.real(np.diag(t)), n, "diagonal entry")[:, None]
-    return t / checked_normalizer(t.sum(axis=1), n, "row sum")[:, None]
+        rows = checked_normalizer(t.diagonal().real.copy(), n, "diagonal entry")  # t is divided
+    else:
+        rows = checked_normalizer(t.sum(axis=1), n, "row sum")
+    return divide_in_place(t, rows[:, None])
 
 
 def tensor_attention_naive(
@@ -280,7 +285,7 @@ def tensor_attention_linear(inputs: AttnInputs, cfg: TensorOpConfig = TensorOpCo
     path up to roundoff.  Product flavors only, as for ``tensor_residual``.
     """
     op, total = _factored_and_trace(inputs, cfg)
-    return finite_result(op.apply(inputs.v) / total, "linear tensor attention")
+    return finite_result(divide_in_place(op.apply(inputs.v), total), "linear tensor attention")
 
 
 def tensor_attention_relu(inputs: AttnInputs, cfg: TensorOpConfig = TensorOpConfig()) -> np.ndarray:
@@ -294,7 +299,8 @@ def tensor_attention_relu(inputs: AttnInputs, cfg: TensorOpConfig = TensorOpConf
     """
     require_real(inputs.is_complex, "relu tensor attention")
     t, total = _operator_and_trace(inputs.q, inputs.k, cfg)
-    return finite_result((np.maximum(t, 0.0) @ inputs.v) / total, "relu tensor attention")
+    out = divide_in_place(np.maximum(t, 0.0) @ inputs.v, total)
+    return finite_result(out, "relu tensor attention")
 
 
 def tensor_attention_elem_exp(
@@ -307,7 +313,7 @@ def tensor_attention_elem_exp(
     """
     require_real(inputs.is_complex, "elementwise-exp tensor attention")
     t, total = _operator_and_trace(inputs.q, inputs.k, cfg)
-    return finite_result(np.exp(t / total) @ inputs.v, "elementwise exponential")
+    return finite_result(np.exp(divide_in_place(t, total)) @ inputs.v, "elementwise exponential")
 
 
 def tensor_attention_expm(inputs: AttnInputs, cfg: TensorOpConfig = TensorOpConfig()) -> np.ndarray:
@@ -320,7 +326,7 @@ def tensor_attention_expm(inputs: AttnInputs, cfg: TensorOpConfig = TensorOpConf
     """
     if cfg.hadamard:
         t, total = _operator_and_trace(inputs.q, inputs.k, cfg)
-        lam, vecs = np.linalg.eigh(finite_result(t / total, "normalized operator"))
+        lam, vecs = np.linalg.eigh(finite_result(divide_in_place(t, total), "normalized operator"))
         with np.errstate(over="ignore", invalid="ignore"):  # finite_result reports overflow
             out = vecs @ (np.exp(lam)[:, None] * (vecs.conj().T @ inputs.v))
     else:
@@ -345,7 +351,7 @@ def tensor_attention_masked(
     else:
         op, total = _factored_and_trace(inputs, cfg)
         out = op.causal_apply(inputs.v)
-    return finite_result(out / total, "masked tensor attention")
+    return finite_result(divide_in_place(out, total), "masked tensor attention")
 
 
 def tensor_attention_residual(
@@ -366,7 +372,7 @@ def tensor_attention_residual(
     op = FactoredOperator.of(inputs.q, inputs.k, cfg)
     out = op.apply(inputs.v)
     if lam:
-        out = out + lam * op.trace() * inputs.v
+        out += lam * op.trace() * inputs.v
     return finite_result(out, "residual tensor attention")
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .attention import AttnInputs, conform_pair
-from .dense import checked_normalizer, finite_result
+from .dense import adjoint_product, checked_normalizer, divide_in_place, finite_result
 from .errors import DimensionMismatch
 from .tensor_attention import TensorOpConfig, flavored_product
 
@@ -23,7 +23,7 @@ from .tensor_attention import TensorOpConfig, flavored_product
 def coupling_matrix(q, k) -> np.ndarray:
     """B = Q^H K, the d-by-d channel coupling."""
     q, k = conform_pair(q, k)
-    return q.conj().T @ k
+    return adjoint_product(q, k)
 
 
 def build_interaction_operator(q, k, cfg: TensorOpConfig = TensorOpConfig()) -> np.ndarray:
@@ -43,7 +43,8 @@ def interaction_trace(q, k) -> float:
 def tensor_interaction(inputs: AttnInputs, cfg: TensorOpConfig = TensorOpConfig()) -> np.ndarray:
     """Apply the trace-normalized channel operator to v^T and return the n-by-d transpose.
 
-    Requires square values (d_v = d) since the operator left-multiplies v^T.
+    Requires square values (d_v = d) since the operator left-multiplies v^T.  The
+    transpose (T v^T)^T is formed directly as v T^T, C-contiguous, and divided in place.
     """
     if inputs.d_v != inputs.d:
         raise DimensionMismatch(
@@ -51,5 +52,4 @@ def tensor_interaction(inputs: AttnInputs, cfg: TensorOpConfig = TensorOpConfig(
         )
     t = build_interaction_operator(inputs.q, inputs.k, cfg)
     total = checked_normalizer(float(np.real(np.trace(t))), inputs.d)
-    as_written = finite_result((t @ inputs.v.T) / total, "tensor interaction")
-    return np.ascontiguousarray(as_written.T)
+    return finite_result(divide_in_place(inputs.v @ t.T, total), "tensor interaction")

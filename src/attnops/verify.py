@@ -28,12 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import AttnInputs, linear_kernel_attention, softmax_attention
-from .dense import gemm, kron, partial_trace, trace
+from .dense import adjoint_product, gemm, kron, partial_trace, trace
 from .errors import ComplexNotSupported
 from .expm import expm_pade, expm_taylor
 from .oracles import (
     fd_probe,
     kron_vec_check,
+    loop_adjoint_product,
     loop_gelu,
     loop_layer_norm,
     naive_reference,
@@ -279,6 +280,20 @@ def run_verify(seed: int = 2024, negative_control: bool = False) -> VerifyReport
         dev = max(dev, _rel(np.real(value), float(np.sum(np.abs(a) ** 2))))
         dev = max(dev, abs(np.imag(value)))
     checks.append(_result("Frobenius: tr(A A^H) = sum |a_ij|^2, real non-negative", dev, 1e-12))
+
+    # a^H b against the loop product; a complex Gram must come out exactly Hermitian
+    dev, exact = 0.0, True
+    for complex_, (n, d, p) in itertools.product((False, True), ((7, 3, 2), (2, 5, 4))):
+        a = random_matrix(n, d, seed=seed + 10 + n, complex_=complex_)
+        for b in (a, random_matrix(n, p, seed=seed + 20 + n, complex_=complex_)):
+            fast, slow = adjoint_product(a, b), loop_adjoint_product(a, b)
+            dev = max(dev, np.max(np.abs(fast - slow)) / np.max(np.abs(slow)))
+            if b is a:
+                exact &= np.array_equal(fast, fast.conj().T) and not fast.diagonal().imag.any()
+    checks.append(_result("adjoint product equals the loop product; a Gram is exactly Hermitian",
+                          dev if exact else math.inf, 1e-12,
+                          "real and complex, b is a and not, n > d and n < d; relative to the "
+                          "largest entry"))
 
     checks += _identity_checks(rng)
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -8,14 +8,17 @@ from attnops import (
     DimensionMismatch,
     NonFiniteInput,
     NotSquare,
+    adjoint_product,
     as_matrix,
     as_vector,
     gemm,
     kron,
     partial_trace,
+    random_matrix,
     trace,
     vectorize,
 )
+from attnops.dense import divide_in_place
 
 I2 = np.eye(2)
 
@@ -218,3 +221,60 @@ def test_frobenius_identity_real_and_complex():
     value = trace(gemm(c, c, trans_b=True))
     assert abs(np.imag(value)) < 1e-12
     np.testing.assert_allclose(np.real(value), np.sum(np.abs(c) ** 2), rtol=1e-12)
+
+
+# (a complex, b complex) per operand kind; "b is a" applies where both kinds agree
+_KINDS = {"real": (False, False), "complex": (True, True),
+          "real a, complex b": (False, True), "complex a, real b": (True, False)}
+
+
+class TestAdjointProduct:
+    """a^H b: real operands give the bytes of a.T @ b, complex ones stay within rounding."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 4097), d=st.integers(1, 9), p=st.integers(1, 9),
+           kind=st.sampled_from(sorted(_KINDS)), same=st.booleans(), seed=st.integers(0, 2**16))
+    @example(n=1, d=1, p=1, kind="complex", same=True, seed=0)
+    @example(n=1, d=1, p=3, kind="complex", same=False, seed=0)
+    @example(n=4097, d=9, p=2, kind="complex", same=True, seed=1)
+    @example(n=4097, d=9, p=2, kind="real", same=True, seed=1)
+    def test_matches_the_conjugate_transpose_product(self, n, d, p, kind, same, seed):
+        a_complex, b_complex = _KINDS[kind]
+        a = random_matrix(n, d, seed, a_complex)
+        b = a if same and a_complex == b_complex else random_matrix(n, p, seed + 1, b_complex)
+        out = adjoint_product(a, b)
+        reference = a.conj().T @ b
+        assert out.shape == reference.shape and out.dtype == reference.dtype
+        if not a_complex:
+            assert out.tobytes() == (a.T @ b).tobytes()
+        else:
+            assert np.max(np.abs(out - reference)) <= 1e-13 * np.max(np.abs(reference))
+        if b is a and a_complex:
+            np.testing.assert_array_equal(out, out.conj().T)
+            assert not out.diagonal().imag.any()
+
+    def test_strided_complex_operands_take_the_conjugate_product(self):
+        a = random_matrix(6, 8, 3, complex_=True)[:, ::2]
+        np.testing.assert_array_equal(adjoint_product(a, a), a.conj().T @ a)
+
+
+class TestDivideInPlace:
+    """Real bytes are those of ``/``; a complex result divides each part as a float."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 300), cols=st.integers(1, 9), complex_=st.booleans(),
+           per_row=st.booleans(), scale=st.floats(1e-6, 1e6), seed=st.integers(0, 2**16))
+    @example(n=1, cols=1, complex_=True, per_row=False, scale=3.0, seed=0)
+    def test_matches_division(self, n, cols, complex_, per_row, scale, seed):
+        out = random_matrix(n, cols, seed, complex_)
+        normalizer = scale * np.exp(random_matrix(n, 1, seed + 1)) if per_row else scale
+        expected = out / normalizer
+        parts = (out.real / normalizer, out.imag / normalizer)
+        result = divide_in_place(out, normalizer)
+        assert result is out
+        if not complex_:
+            assert result.tobytes() == expected.tobytes()
+        else:
+            np.testing.assert_array_equal(result.real, parts[0])
+            np.testing.assert_array_equal(result.imag, parts[1])
+            np.testing.assert_allclose(result, expected, rtol=1e-15, atol=0)

@@ -10,6 +10,7 @@ from attnops import (
     AttnInputs,
     AttnOpsError,
     BenchConfig,
+    ComplexNotSupported,
     DegenerateNormalizer,
     InvalidOption,
     NonFiniteInput,
@@ -19,9 +20,13 @@ from attnops import (
     bench_targets,
     errors,
     expm_pade,
+    fd_probe,
     forward,
     linear_kernel_attention,
     naive_reference,
+    normalized_tensor_operator,
+    random_inputs,
+    trace_identity_report,
     variant_ids,
     tensor_attention_naive,
     tensor_interaction,
@@ -113,6 +118,27 @@ def test_unknown_ids_and_options_carry_their_names():
     assert isinstance(value.value, ValueError) and not isinstance(value.value, TypeError)
     assert vars(value.value) == {"mechanism": "interaction", "option": "side",
                                  "accepted": ("q", "k")}
+
+
+def test_complex_rejections_name_their_operation():
+    inputs = random_inputs(3, 2, seed=0, complex_=True)
+    z = inputs.q
+    cases = [
+        (lambda: forward("softmax", inputs), "softmax attention"),
+        (lambda: forward("kernel", inputs), "kernel attention"),
+        (lambda: forward("tensor_relu", inputs), "relu tensor attention"),
+        (lambda: forward("tensor_elem_exp", inputs), "elementwise-exp tensor attention"),
+        (lambda: forward("tensor_row", inputs), "row normalization"),
+        (lambda: normalized_tensor_operator(z.real, z, normalization="row"), "row normalization"),
+        (lambda: trace_identity_report(z[:2], z[:2]), "trace identity report"),
+        (lambda: fd_probe("tensor_naive", inputs, np.ones(3), np.ones(2)), "finite differences"),
+    ]
+    for call, operation in cases:
+        with pytest.raises(ComplexNotSupported) as err:
+            call()
+        assert isinstance(err.value, AttnOpsError) and isinstance(err.value, TypeError)
+        assert vars(err.value) == {"operation": operation}
+        assert operation in str(err.value)
 
 
 def test_every_error_class_is_exported_and_raised():

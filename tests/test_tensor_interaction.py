@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from attnops import (
     AttnInputs,
@@ -120,3 +122,32 @@ class TestInvariants:
             np.vstack([k, rng.standard_normal((11, 4))]),
         )
         assert small.shape == grown.shape == (4, 4)
+
+
+def _transposed_formula(inputs, cfg):
+    """The output as the channel operator left-multiplying v^T, divided, transposed back."""
+    t = build_interaction_operator(inputs.q, inputs.k, cfg)
+    return np.ascontiguousarray(((t @ inputs.v.T) / np.trace(t).real).T)
+
+
+class TestRowMajorProduct:
+    """The output is v t^T divided in place, not (t v^T)^T divided and copied."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 300), d=st.integers(1, 9), complex_=st.booleans(),
+           side=st.sampled_from("qk"), hadamard=st.booleans(), seed=st.integers(0, 2**16))
+    @example(n=1, d=1, complex_=True, side="q", hadamard=False, seed=0)
+    def test_stays_within_rounding_of_the_transposed_formula(self, n, d, complex_, side,
+                                                             hadamard, seed):
+        inputs = random_inputs(n, d, seed=seed, complex_=complex_)
+        cfg = TensorOpConfig(side=side, hadamard=hadamard)
+        out = tensor_interaction(inputs, cfg)
+        old = _transposed_formula(inputs, cfg)
+        assert out.flags.c_contiguous and out.shape == old.shape == (n, d)
+        assert np.max(np.abs(out - old)) <= 1e-14 * np.max(np.abs(old))
+
+    @pytest.mark.parametrize("n, d", [(65, 32), (8192, 32), (16384, 32)])
+    def test_benchmark_shapes_keep_the_transposed_formulas_bytes(self, n, d):
+        inputs = random_inputs(n, d, seed=n)
+        out = tensor_interaction(inputs)
+        assert out.tobytes() == _transposed_formula(inputs, TensorOpConfig()).tobytes()

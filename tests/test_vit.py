@@ -213,6 +213,20 @@ class TestInit:
         ("tensor_linear", {"side": "x"}, InvalidOption, {"option": "side", "accepted": ("q", "k")}),
         ("tensor_residual", {"hadamard": True}, InvalidOption,
          {"option": "hadamard", "accepted": ("False",)}),
+        ("tensor_naive", {"normalization": "bogus"}, InvalidOption,
+         {"option": "normalization", "accepted": ("trace", "diag", "row")}),
+        ("tensor_naive", {"normalization": None}, InvalidOption,
+         {"option": "normalization", "accepted": ("trace", "diag", "row")}),
+        ("tensor_residual", {"lam": -1.0}, InvalidOption,
+         {"option": "lam", "accepted": ("[0, inf)",)}),
+        ("tensor_residual", {"lam": math.nan}, InvalidOption,
+         {"option": "lam", "accepted": ("[0, inf)",)}),
+        ("tensor_residual", {"lam": math.inf}, InvalidOption,
+         {"option": "lam", "accepted": ("[0, inf)",)}),
+        ("tensor_residual", {"lam": "0.5"}, InvalidOption,
+         {"option": "lam", "accepted": ("[0, inf)",)}),
+        ("tensor_residual", {"lam": np.array([0.5, 1.0])}, InvalidOption,
+         {"option": "lam", "accepted": ("[0, inf)",)}),
     ])
     def test_a_bad_mechanism_option_fails_at_build_time(self, mechanism, options, error, fields):
         with pytest.raises(error) as built:
@@ -230,6 +244,15 @@ class TestInit:
     def test_accepted_mechanism_options_build_and_run(self):
         params = vit_init(6, 8, 16, 4, 2, mechanism="tensor_residual",
                           mechanism_options={"side": "k", "lam": 0.0})
+        assert np.all(np.isfinite(vit_forward(params, random_matrix(4, 6, seed=1))))
+
+    @pytest.mark.parametrize("mechanism, options", [
+        ("tensor_residual", {"lam": 2}),
+        ("tensor_residual", {"lam": np.float32(0.25)}),
+        ("tensor_naive", {"normalization": "diag"}),
+    ])
+    def test_accepted_option_values_build_and_run(self, mechanism, options):
+        params = vit_init(6, 8, 16, 4, 2, mechanism=mechanism, mechanism_options=options)
         assert np.all(np.isfinite(vit_forward(params, random_matrix(4, 6, seed=1))))
 
 
